@@ -189,10 +189,30 @@ void write_response_csv(std::ostream& out, const SolveResponse& r) {
 
 // ------------------------------------------------------------- execution ---
 
-SolveResponse run_parsed(const SolverRegistry& registry, WarmState& warm,
-                         const std::string& alg, const SolveOptions& solve,
-                         const ParsedInstance& parsed, SolveResult* full,
-                         telemetry::TraceSpan* parent) {
+namespace {
+
+// The outcome fields every answered row shares, whether the result was
+// solved, read from the result cache, or reached through the fingerprint
+// index.
+void finish_row(SolveResponse& row, SolveResult result, SolveResult* full) {
+  if (!result.ok) {
+    row.error = result.error;
+    return;
+  }
+  row.ok = true;
+  row.solver = result.solver;
+  row.guarantee = result.guarantee;
+  row.makespan = result.cmax.to_string();
+  row.makespan_value = result.cmax.to_double();
+  if (full != nullptr) *full = std::move(result);
+}
+
+// run_parsed, also reporting the instance's content hash (0 when the
+// request never reached the caches) for the fingerprint index.
+SolveResponse run_parsed_hashed(const SolverRegistry& registry, WarmState& warm,
+                                const std::string& alg, const SolveOptions& solve,
+                                const ParsedInstance& parsed, SolveResult* full,
+                                telemetry::TraceSpan* parent, std::uint64_t* hash) {
   SolveResponse row;
   Timer timer;
   if (!parsed.ok()) {
@@ -212,6 +232,7 @@ SolveResponse run_parsed(const SolverRegistry& registry, WarmState& warm,
       probe_span->end();
     }
     row.instance_hash = hash_hex(cached.hash);
+    *hash = cached.hash;
     row.cache_tier = cached.tier;
     row.result_cache_used = true;
     // The ONE key derivation every boundary shares (engine/store/codec.hpp):
@@ -255,17 +276,109 @@ SolveResponse run_parsed(const SolverRegistry& registry, WarmState& warm,
   }
 
   row.wall_ms = timer.millis();
-  if (!result.ok) {
-    row.error = result.error;
-    return row;
-  }
-  row.ok = true;
-  row.solver = result.solver;
-  row.guarantee = result.guarantee;
-  row.makespan = result.cmax.to_string();
-  row.makespan_value = result.cmax.to_double();
-  if (full != nullptr) *full = std::move(result);
+  finish_row(row, std::move(result), full);
   return row;
+}
+
+// The parse-free answer for a body the fingerprint index knows: both the
+// profile (for the `cache` label and its counters) and the result must
+// still be cached, else nullopt and nothing was counted — the caller falls
+// through to the full path, which counts its own lookups exactly as if the
+// index did not exist.
+std::optional<SolveResponse> answer_known(WarmState& warm, const FingerprintEntry& entry,
+                                          const std::string& alg, const SolveOptions& solve,
+                                          SolveResult* full, telemetry::TraceSpan* span) {
+  Timer timer;
+  if (warm.profiles().lookup_hash(entry.hash, /*record=*/false) == CacheTier::kMiss) {
+    return std::nullopt;
+  }
+  CacheTier result_tier = CacheTier::kMiss;
+  telemetry::TraceSpan* result_span = span->child("result");
+  auto hit = warm.results().lookup(make_result_key(entry.hash, alg, solve), &result_tier,
+                                   /*count_miss=*/false);
+  result_span->set_detail(tier_label(result_tier));
+  result_span->end();
+  if (!hit.has_value()) return std::nullopt;
+
+  SolveResponse row;
+  row.model = entry.unrelated ? "unrelated" : "uniform";
+  row.jobs = entry.jobs;
+  row.machines = entry.machines;
+  row.instance_hash = hash_hex(entry.hash);
+  // Committed only now that the answer is certain: a hit is counted (and a
+  // disk-tier profile promoted) exactly as the probe path would have.
+  row.cache_tier = warm.profiles().lookup_hash(entry.hash, /*record=*/true);
+  row.result_cache_used = true;
+  row.result_tier = result_tier;
+  row.wall_ms = timer.millis();
+  finish_row(row, std::move(*hit), full);
+  return row;
+}
+
+// A wire source — inline text or a file's bytes — through the fingerprint
+// index, falling through to parse + run_parsed when the index cannot
+// answer. Successful full-path answers are indexed for the next repeat;
+// failures never are.
+SolveResponse run_source(const SolverRegistry& registry, WarmState& warm,
+                         const SolveRequest& req, const std::string& alg,
+                         const SolveOptions& solve, SolveResult* full,
+                         telemetry::TraceSpan& root) {
+  telemetry::TraceSpan* span = root.child("fingerprint");
+  std::string file_bytes;
+  const std::string* bytes = &req.inline_text;
+  if (!req.has_inline_text) {
+    std::ifstream file(req.path, std::ios::binary);
+    if (!file) {
+      span->end();
+      SolveResponse r;
+      r.error = "cannot open file";
+      return r;
+    }
+    std::ostringstream text;
+    text << file.rdbuf();
+    file_bytes = std::move(text).str();
+    bytes = &file_bytes;
+  }
+
+  FingerprintIndex& index = warm.fingerprints();
+  const Digest128 digest = index.digest(*bytes);
+  const std::optional<FingerprintEntry> known = index.find(digest);
+  if (known.has_value()) {
+    if (auto answer = answer_known(warm, *known, alg, solve, full, span)) {
+      span->set_detail("hit");
+      span->end();
+      index.record(true);
+      return std::move(*answer);
+    }
+  }
+  // "uncached": the body is known, but its profile was evicted or no result
+  // is cached under this request's key (evicted, other options, a failure).
+  span->set_detail(known.has_value() ? "uncached" : "miss");
+  span->end();
+  index.record(false);
+
+  telemetry::TraceSpan* parse_span = root.child("parse");
+  std::istringstream text(*bytes);
+  const ParsedInstance parsed = parse_instance(text);
+  parse_span->end();
+  std::uint64_t hash = 0;
+  SolveResponse r =
+      run_parsed_hashed(registry, warm, alg, solve, parsed, full, &root, &hash);
+  if (r.ok) {
+    index.insert(digest, {hash, static_cast<std::int32_t>(r.jobs),
+                          static_cast<std::int32_t>(r.machines), r.model == "unrelated"});
+  }
+  return r;
+}
+
+}  // namespace
+
+SolveResponse run_parsed(const SolverRegistry& registry, WarmState& warm,
+                         const std::string& alg, const SolveOptions& solve,
+                         const ParsedInstance& parsed, SolveResult* full,
+                         telemetry::TraceSpan* parent) {
+  std::uint64_t hash = 0;
+  return run_parsed_hashed(registry, warm, alg, solve, parsed, full, parent, &hash);
 }
 
 SolveResponse run_request(const SolverRegistry& registry, WarmState& warm,
@@ -292,23 +405,8 @@ SolveResponse run_request(const SolverRegistry& registry, WarmState& warm,
     r.error = "\"budget_ms\" requires \"all\" (it bounds the run-all portfolio)";
   } else if (req.parsed != nullptr) {
     r = run_parsed(registry, warm, alg, options, *req.parsed, full, &trace->root());
-  } else if (req.has_inline_text) {
-    std::istringstream text(req.inline_text);
-    telemetry::TraceSpan* parse_span = trace->root().child("parse");
-    ParsedInstance parsed = parse_instance(text);
-    parse_span->end();
-    r = run_parsed(registry, warm, alg, options, parsed, full, &trace->root());
-  } else if (!req.path.empty()) {
-    telemetry::TraceSpan* parse_span = trace->root().child("parse");
-    std::ifstream file(req.path);
-    if (!file) {
-      parse_span->end();
-      r.error = "cannot open file";
-    } else {
-      ParsedInstance parsed = parse_instance(file);
-      parse_span->end();
-      r = run_parsed(registry, warm, alg, options, parsed, full, &trace->root());
-    }
+  } else if (req.has_inline_text || !req.path.empty()) {
+    r = run_source(registry, warm, req, alg, options, full, trace->root());
   } else {
     r.error = "no instance source in request";
   }

@@ -187,7 +187,10 @@ SolveResponse run_parsed(const SolverRegistry& registry, WarmState& warm,
 
 // Executes a full request: resolves its source (parsed > inline text > file
 // path), layers its option overrides over `defaults`, dispatches through
-// run_parsed, and stamps id/file. `default_alg` applies when req.alg is
+// run_parsed, and stamps id/file. Wire sources (inline text, file bytes)
+// consult warm.fingerprints() first: bytes that already produced an ok
+// answer, whose profile and result are still cached, are answered with no
+// parse, probe or solve — same response, same cache counters. `default_alg` applies when req.alg is
 // empty. The one entry point CLI solve, batch workers, and serve sessions
 // all call — all three therefore share one WarmState vocabulary, one
 // result-key derivation (engine/store/codec.hpp), and one telemetry stream:

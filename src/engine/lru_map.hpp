@@ -35,6 +35,9 @@ class LruMap {
     return &it->second->second;
   }
 
+  // Membership without promotion.
+  bool contains(const Key& key) const { return map_.count(key) != 0; }
+
   // Inserts or overwrites; the entry becomes most-recently-used. Evicts the
   // least-recently-used entry when inserting past capacity.
   void put(const Key& key, Value value) {

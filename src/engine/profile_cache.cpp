@@ -50,6 +50,27 @@ CachedProfile ProfileCache::lookup(const Instance& inst) {
   return out;
 }
 
+CacheTier ProfileCache::lookup_hash(std::uint64_t hash, bool record) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (record ? map_.get(hash) != nullptr : map_.contains(hash)) {
+    if (record) ++hits_;
+    return CacheTier::kMemory;
+  }
+  if (disk_ != nullptr) {
+    if (const std::string* blob = disk_->get(store::encode_profile_key(hash))) {
+      if (!record) return CacheTier::kDisk;
+      InstanceProfile decoded;
+      if (store::decode_profile(*blob, &decoded)) {
+        ++disk_hits_;
+        map_.put(hash, std::move(decoded));
+        return CacheTier::kDisk;
+      }
+    }
+  }
+  if (record) ++misses_;
+  return CacheTier::kMiss;
+}
+
 CachedProfile ProfileCache::profile(const UniformInstance& inst) { return lookup(inst); }
 
 CachedProfile ProfileCache::profile(const UnrelatedInstance& inst) { return lookup(inst); }

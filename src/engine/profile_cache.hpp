@@ -59,6 +59,14 @@ class ProfileCache {
   CachedProfile profile(const UniformInstance& inst);
   CachedProfile profile(const UnrelatedInstance& inst);
 
+  // The tier holding the profile of an instance known only by its content
+  // hash (the fingerprint path, engine/fingerprint_index.hpp) — no probe on
+  // a miss. With `record` the lookup counts exactly as profile() would (a
+  // memory hit, a disk hit promoted into memory, or a miss); without it
+  // nothing is counted or promoted, so a caller can check before it
+  // commits.
+  CacheTier lookup_hash(std::uint64_t hash, bool record);
+
   struct Stats {
     std::uint64_t hits = 0;       // served from the memory tier
     std::uint64_t disk_hits = 0;  // served from the disk tier (then promoted)

@@ -11,7 +11,8 @@ namespace bisched::engine {
 ResultCache::ResultCache(std::size_t max_entries, DiskTier* disk)
     : map_(max_entries < 1 ? 1 : max_entries), disk_(disk) {}
 
-std::optional<SolveResult> ResultCache::lookup(const ResultKey& key, CacheTier* tier) {
+std::optional<SolveResult> ResultCache::lookup(const ResultKey& key, CacheTier* tier,
+                                              bool count_miss) {
   if (tier != nullptr) *tier = CacheTier::kMiss;
   std::shared_ptr<const SolveResult> found;
   {
@@ -31,10 +32,8 @@ std::optional<SolveResult> ResultCache::lookup(const ResultKey& key, CacheTier* 
           if (tier != nullptr) *tier = CacheTier::kDisk;
         }
       }
-      if (found == nullptr) ++misses_;
-    } else {
-      ++misses_;
     }
+    if (found == nullptr && count_miss) ++misses_;
   }
   if (found == nullptr) return std::nullopt;
   return *found;  // the schedule copy happens outside the lock

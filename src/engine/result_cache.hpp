@@ -69,8 +69,11 @@ class ResultCache {
 
   // The memoized result, or nullopt. A hit is a copy: callers own their
   // result and may stamp wall_ms etc. without racing the cache. When `tier`
-  // is non-null it receives the serving tier (kMiss on a miss).
-  std::optional<SolveResult> lookup(const ResultKey& key, CacheTier* tier = nullptr);
+  // is non-null it receives the serving tier (kMiss on a miss). With
+  // `count_miss` false a miss is not counted — the fingerprint path probes
+  // here first and, on a miss, falls through to a lookup that counts it.
+  std::optional<SolveResult> lookup(const ResultKey& key, CacheTier* tier = nullptr,
+                                    bool count_miss = true);
 
   // Stores ok results in both tiers; not-ok results are ignored (policy).
   void store(const ResultKey& key, const SolveResult& result);

@@ -47,6 +47,7 @@ WarmState::WarmState(const WarmOptions& options, std::string* message) {
   }
   profiles_ = std::make_unique<ProfileCache>(options.profile_entries, profile_tier);
   results_ = std::make_unique<ResultCache>(options.result_entries, result_tier);
+  fingerprints_ = std::make_unique<FingerprintIndex>(options.profile_entries);
   telemetry_ = std::make_unique<telemetry::EngineMetrics>();
 }
 
@@ -71,6 +72,10 @@ void WarmState::mirror_metrics() {
                                          stats_view(profiles_->stats()));
   telemetry::EngineMetrics::mirror_cache(telemetry_->result_cache(),
                                          stats_view(results_->stats()));
+  const FingerprintIndex::Stats fingerprints = fingerprints_->stats();
+  telemetry_->fingerprint_hits().mirror(fingerprints.hits);
+  telemetry_->fingerprint_misses().mirror(fingerprints.misses);
+  telemetry_->fingerprint_entries().set(static_cast<double>(fingerprints.entries));
 }
 
 DiskTier* WarmState::bench_history() {

@@ -26,6 +26,7 @@
 #include <memory>
 #include <string>
 
+#include "engine/fingerprint_index.hpp"
 #include "engine/profile_cache.hpp"
 #include "engine/result_cache.hpp"
 #include "engine/store/cache_store.hpp"
@@ -35,7 +36,9 @@ namespace bisched::engine {
 
 struct WarmOptions {
   std::string store_dir;  // empty = memory-only
-  std::size_t profile_entries = 1 << 20;      // memory-tier LRU bounds
+  // Memory-tier LRU bounds; profile_entries also bounds the fingerprint
+  // index (one request body maps to exactly one profile).
+  std::size_t profile_entries = 1 << 20;
   std::size_t result_entries = ResultCache::kDefaultMaxEntries;
 };
 
@@ -55,6 +58,11 @@ class WarmState {
   ResultCache& results() { return *results_; }
   const ProfileCache& profiles() const { return *profiles_; }
   const ResultCache& results() const { return *results_; }
+
+  // Request-bytes digest -> instance identity, consulted by
+  // api::run_request before any parse. Memory-only: it is never persisted,
+  // so a restart (or a store-warmed boot) starts it empty.
+  FingerprintIndex& fingerprints() { return *fingerprints_; }
 
   // The metric registry every boundary sharing this warm state records into
   // (api::run_request per solve; serve adds its frame/session series). Owned
@@ -88,6 +96,7 @@ class WarmState {
   // destroyed first.
   std::unique_ptr<ProfileCache> profiles_;
   std::unique_ptr<ResultCache> results_;
+  std::unique_ptr<FingerprintIndex> fingerprints_;
   std::unique_ptr<telemetry::EngineMetrics> telemetry_;
 };
 

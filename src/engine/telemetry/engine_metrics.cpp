@@ -10,6 +10,8 @@ constexpr const char* kLookupsHelp =
     "Cache lookups by cache and serving tier (mirrored from the cache stats)";
 constexpr const char* kEvictionsHelp = "Memory-tier LRU evictions by cache";
 constexpr const char* kEntriesHelp = "Current cache entries by cache and tier";
+constexpr const char* kFingerprintHelp =
+    "Fingerprint index lookups: hit = answered without a parse, miss = fell through";
 
 EngineMetrics::CacheSeries make_cache_series(Registry& r, const std::string& cache) {
   const std::string key = "cache=\"" + cache + "\"";
@@ -39,6 +41,12 @@ EngineMetrics::EngineMetrics()
           Histogram::default_latency_bounds_ms())),
       profile_(make_cache_series(registry_, "profile")),
       result_(make_cache_series(registry_, "result")),
+      fingerprint_hits_(registry_.counter("bisched_fingerprint_lookups_total",
+                                          kFingerprintHelp, "outcome=\"hit\"")),
+      fingerprint_misses_(registry_.counter("bisched_fingerprint_lookups_total",
+                                            kFingerprintHelp, "outcome=\"miss\"")),
+      fingerprint_entries_(registry_.gauge("bisched_fingerprint_entries",
+                                           "Current fingerprint index entries")),
       simd_level_(registry_.gauge(
           "bisched_simd_level",
           "Resolved SIMD dispatch level for the DP row kernels (info gauge)",

@@ -61,6 +61,13 @@ class EngineMetrics {
   CacheSeries& result_cache() { return result_; }
   static void mirror_cache(CacheSeries& series, const CacheStatsView& view);
 
+  // The fingerprint index (engine/fingerprint_index.hpp), mirrored like the
+  // caches: requests answered parse-free vs. fallen through to the parse,
+  // and the current entry count.
+  Counter& fingerprint_hits() { return fingerprint_hits_; }      // outcome="hit"
+  Counter& fingerprint_misses() { return fingerprint_misses_; }  // outcome="miss"
+  Gauge& fingerprint_entries() { return fingerprint_entries_; }
+
   // Info-style gauge: bisched_simd_level{level="<resolved>"} 1. The label is
   // the dispatch level the DP kernels resolved to (sched/simd_dispatch.hpp),
   // captured when this registry is built.
@@ -73,6 +80,9 @@ class EngineMetrics {
   Histogram& solve_latency_ms_;
   CacheSeries profile_;
   CacheSeries result_;
+  Counter& fingerprint_hits_;
+  Counter& fingerprint_misses_;
+  Gauge& fingerprint_entries_;
   Gauge& simd_level_;
 };
 

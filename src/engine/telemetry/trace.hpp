@@ -8,7 +8,10 @@
 // one-line form. The taxonomy (docs/telemetry.md):
 //
 //   request
-//   ├── parse             instance IO + native-format parse (wire sources)
+//   ├── fingerprint [hit|miss|uncached]
+//   │   │                 wire sources: bytes digest + index lookup
+//   │   └── result [tier] result lookup for a known body (hit: nothing else runs)
+//   ├── parse             native-format parse (wire sources)
 //   ├── probe [tier]      profile cache lookup (detection runs on a miss)
 //   ├── result [tier]     result cache lookup
 //   ├── solve [solver]    portfolio dispatch; one child per solver tried

@@ -13,7 +13,9 @@
 # dispatch), the hot-path + store + fleet benches' JSON reports end to
 # end with the sanitized binaries, and the epoll serve core (a 64-connection
 # sim replay over TCP with zero errors, a pipelined client answered in send
-# order, and the event-loop gauges in the scrape).
+# order, and the event-loop gauges in the scrape), the fingerprint warm
+# path (an inline repeat answered from the index, counted in the scrape),
+# and finally engine_tests rebuilt and run under ThreadSanitizer.
 # Single-threaded where it matters: the CI runner has one CPU.
 #
 #   $ tools/ci.sh [extra ctest args...]
@@ -207,6 +209,53 @@ grep -q 'serve: slow-request trace=t-.* status=ok .* spans=request:' \
   cat "$SMOKE/server.log" >&2
   exit 1
 }
+
+# ----------------------------------------------------- fingerprint smoke ---
+# The parse-free warm path over a unix socket: one inline JSON instance sent
+# 3 times must be parsed once and answered from the fingerprint index twice
+# (the scrape runs after the client exited, so the counters are settled).
+FP_SOCK="$SMOKE/fp.sock"
+"$CLI" serve --listen="unix:$FP_SOCK" --threads=1 --stable \
+  > "$SMOKE/fp-server.log" 2>&1 &
+SERVER_PID=$!
+tries=0
+while [ ! -S "$FP_SOCK" ]; do
+  tries=$((tries + 1))
+  [ "$tries" -le 100 ] || {
+    echo "ci.sh: fingerprint smoke failed: $FP_SOCK never appeared" >&2
+    cat "$SMOKE/fp-server.log" >&2
+    exit 1
+  }
+  sleep 0.1
+done
+FP_BODY=$(awk '{ printf "%s\\n", $0 }' "$SMOKE/corpus/q3.inst")
+for i in 1 2 3; do
+  printf '{"id": "fp%s", "instance": "%s"}\n' "$i" "$FP_BODY"
+done | "$CLI" client --connect="unix:$FP_SOCK" > "$SMOKE/fp.out" || {
+  echo "ci.sh: fingerprint smoke failed: client exited nonzero" >&2
+  cat "$SMOKE/fp-server.log" >&2
+  exit 1
+}
+[ "$(grep -c '"status": "ok".*"solve_cache": "hit-memory"' "$SMOKE/fp.out")" -eq 2 ] || {
+  echo "ci.sh: fingerprint smoke failed: expected 2 warm repeats" >&2
+  cat "$SMOKE/fp.out" >&2
+  exit 1
+}
+"$CLI" metrics --connect="unix:$FP_SOCK" > "$SMOKE/fp-metrics.out"
+grep -q 'bisched_fingerprint_lookups_total{outcome="hit"} 2$' "$SMOKE/fp-metrics.out" \
+  && grep -q 'bisched_fingerprint_lookups_total{outcome="miss"} 1$' \
+    "$SMOKE/fp-metrics.out" || {
+  echo "ci.sh: fingerprint smoke failed: expected 2 index hits and 1 miss" >&2
+  cat "$SMOKE/fp-metrics.out" >&2
+  exit 1
+}
+printf 'shutdown\n' | "$CLI" client --connect="unix:$FP_SOCK" > /dev/null
+wait "$SERVER_PID" || {
+  echo "ci.sh: fingerprint smoke failed: server exited nonzero" >&2
+  cat "$SMOKE/fp-server.log" >&2
+  exit 1
+}
+SERVER_PID=
 
 # ------------------------------------------------------- tcp serve smoke ---
 # serve --listen=tcp:127.0.0.1:0 binds an ephemeral loopback port and
@@ -702,6 +751,19 @@ wait "$SERVER_PID" || {
 }
 SERVER_PID=
 
+# ------------------------------------------------------------------ tsan ---
+# Every pool thread shares the warm state (caches, fingerprint index,
+# metric registry): the engine suite must also run clean under
+# ThreadSanitizer, in its own build tree (`tsan` preset). Any report fails.
+cmake --preset tsan
+cmake --build --preset tsan -j "$(nproc)" --target engine_tests
+TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" build-tsan/engine_tests \
+  > "$SMOKE/tsan.out" 2>&1 || {
+  echo "ci.sh: tsan failed: engine_tests reported a race or failed" >&2
+  grep -A30 'WARNING: ThreadSanitizer' "$SMOKE/tsan.out" >&2 || tail -40 "$SMOKE/tsan.out" >&2
+  exit 1
+}
+
 echo "ci.sh: batch --shard, serve+stats, store, socket serve, metrics+slow-log," \
-  "tcp serve, fleet route+failover, lattice, bench, sim, and async serve" \
-  "smoke OK"
+  "fingerprint warm path, tcp serve, fleet route+failover, lattice, bench, sim," \
+  "async serve smoke and engine_tests under TSan OK"
