@@ -12,19 +12,32 @@
 //               unparseable text) hash their source string instead — still
 //               deterministic, and the backend owns producing the canonical
 //               error.
-//   failover    a failed attempt (connect refused/timed out, connection
-//               dropped mid-response, read deadline) moves to the next
-//               candidate in ring order, healthy candidates first, under one
-//               per-request deadline budget. Only when the budget is spent
-//               with no answer does the client see a structured
-//               `degraded:` error response.
+//   links       the router is the serve EventLoop's second dispatcher
+//               (engine/serve/event_loop.hpp): client sessions and backend
+//               links share one loop thread. Each backend gets up to two
+//               persistent, nonblocking TCP_NODELAY links, opened lazily. A solve frame is written to the least-loaded
+//               link and its ticket queued on that link; serve answers one
+//               session's solve frames in send order, so the next response
+//               line on a link belongs to its oldest ticket. Health `stats`
+//               probes ride a separate probe link per backend, because serve
+//               lets stats frames overtake queued solves.
+//   failover    a failed attempt (connect refused, link EOF or write error,
+//               attempt timeout) closes the link and fails every ticket on
+//               it; each of those requests moves to its next candidate in
+//               ring order, healthy candidates first, under one per-request
+//               deadline budget. Attempt timeouts, deadlines and the pass
+//               backoff are loop timers. Only when the budget is spent with
+//               no answer does the client see a structured `degraded:` error
+//               response.
 //   supervision backends are spawned and kept alive by supervisor.hpp
-//               (exponential-backoff respawn, restart-storm breaker);
-//               health.hpp tracks who is answering (periodic `stats` probes
-//               + live request outcomes) and feeds the candidate ordering.
+//               (exponential-backoff respawn, restart-storm breaker), polled
+//               from a 50 ms loop tick; health.hpp tracks who is answering
+//               (periodic `stats` probes + live request outcomes) and feeds
+//               the candidate ordering. A respawned slot drops its links, so
+//               a stale link never charges a failure to the new process.
 //
-// Responses stream back on the client's transport with the router's own
-// `seq` (admission order across all router sessions) spliced in; an
+// Responses stream back to the client with the router's own `seq`
+// (admission order across all router sessions) spliced in; an
 // auto-assigned id is the router's `#<seq>`, never a backend's. `stats`
 // frames are answered by the ROUTER (role "router": backend/health/retry
 // counters), as is `metrics` (the fleet registry: bisched_fleet_* series).
@@ -35,25 +48,18 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
+#include <unordered_map>
 #include <vector>
 
-#include "engine/api.hpp"
 #include "engine/fleet/hash_ring.hpp"
 #include "engine/fleet/health.hpp"
 #include "engine/fleet/supervisor.hpp"
+#include "engine/serve/event_loop.hpp"
 #include "engine/telemetry/metrics.hpp"
 #include "engine/transport.hpp"
-
-namespace bisched {
-class ThreadPool;
-}  // namespace bisched
 
 namespace bisched::engine::fleet {
 
@@ -63,13 +69,12 @@ struct RouterOptions {
   std::string store_dir;       // per-backend stores at <dir>/backend-<i>; "" = none
   std::vector<std::string> serve_args;  // forwarded to every backend's serve
 
-  unsigned threads = 0;          // router session workers; 0 = 2 * fleet
-  std::size_t max_inflight = 0;  // admission bound; 0 = 4 * threads
+  std::size_t max_inflight = 0;  // admission bound; 0 = 8 * fleet
 
   int health_interval_ms = 250;  // stats-probe period
   int unhealthy_after = 3;       // consecutive failures -> unhealthy
-  int connect_timeout_ms = 2000;
-  int attempt_timeout_ms = 10000;  // per-attempt read deadline
+  int connect_timeout_ms = 2000;   // attempt deadline while its link connects
+  int attempt_timeout_ms = 10000;  // per-attempt response deadline
   int deadline_ms = 30000;         // per-request budget across all retries
 
   SupervisorOptions supervisor;  // backoff / breaker knobs (spawn fields filled in)
@@ -90,40 +95,73 @@ struct RouterStats {
   std::size_t down = 0;       // not running (respawning / broken / starting)
 };
 
-class Router {
+class Router final : public Dispatcher {
  public:
   // Spawns and supervises the fleet; ok() is false (with *error set) when
   // the backends failed to come up — destroy the router, nothing is leaked.
   Router(const RouterOptions& options, std::string* error);
-  ~Router();
+  ~Router() override;
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
   bool ok() const { return ok_; }
 
-  // One client session over the serve frame grammar; thread-safe, one
-  // transport per thread (run_accept_loop calls this).
-  void session(Transport& transport);
+  // Runs the event loop over `listener` until a `shutdown` frame or SIGTERM.
+  // False = the listener failed.
+  bool run(Listener& listener);
+  // Runs the event loop over one session on the connected `fd` (owned from
+  // here on) until that session ends.
+  bool run(int fd);
 
-  bool shutdown_requested() const { return shutdown_.load(); }
+  bool shutdown_requested() const override { return shutdown_.load(); }
 
   RouterStats stats() const;
   std::string metrics_text() const;  // the fleet registry's exposition
 
-  // For benches/tests that kill a backend mid-run.
+  // For benches/tests that kill a backend mid-run or scrape one directly.
   Supervisor& supervisor() { return *supervisor_; }
 
  private:
-  struct SessionState;
+  struct Link;
+  struct Routed;
 
-  void maintenance_loop();
+  bool run(EventLoop& loop);
+
+  // The event loop's dispatcher seam.
+  Policy policy() const override { return {}; }
+  bool admit(const Frame& frame, std::int64_t* seq) override;
+  std::string probe(const Request& request, std::size_t session_inflight) override;
+  std::string refuse(const Request& request) override;
+  bool saturated() const override { return inflight_ >= max_inflight_; }
+  void execute(Request request, Reply reply) override;
+  void attach(EventLoop& loop) override { loop_ = &loop; }
+  void on_ready(std::uint64_t tag, std::uint32_t events) override;
+  int tick(Clock::time_point now) override;
+  void request_shutdown() override { shutdown_.store(true); }
+
+  // Request path: pick the next candidate and queue an attempt on one of its
+  // links, or back off / degrade once every candidate failed this pass.
+  void advance(std::uint64_t rid, Clock::time_point now);
+  void answered(std::uint64_t rid, std::string line);
+  void finish(std::uint64_t rid, std::string line);
+
+  // Links.
+  Link* pick_link(std::size_t backend);
+  Link* open_link(std::size_t backend, bool probe);
+  void send(Link& link, const std::string& bytes);
+  bool flush(Link& link);  // false: the link failed and is gone
+  void arm(Link& link);
+  void read_link(Link& link);
+  // Closes the link; its tickets each fail one attempt (counted against the
+  // backend's health unless the link is from an older generation).
+  void fail_link(Link& link, bool idle_ok);
+  void close_link(Link& link);
+  Link* find_link(std::uint64_t tag);
+
+  void maintain(Clock::time_point now);
+  void fire_timers(Clock::time_point now);
+  void note_due(Clock::time_point at);
   void refresh_backend_gauges() const;
-  // Routes one solve to the fleet and returns the finished response LINE
-  // (newline included) — backend-served with seq/id spliced, or a locally
-  // built error/degraded response.
-  std::string route_one(const SolveRequest& req, std::int64_t seq);
-  bool try_backend(std::size_t backend, const std::string& frame_line,
-                   int budget_ms, std::string* response_line);
   std::string stats_frame_json(const std::string& id, std::int64_t seq) const;
   std::string metrics_frame_json(const std::string& id, std::int64_t seq) const;
 
@@ -132,19 +170,24 @@ class Router {
   std::unique_ptr<Supervisor> supervisor_;
   std::unique_ptr<HealthTracker> health_;
   std::unique_ptr<HashRing> ring_;
-  std::unique_ptr<ThreadPool> pool_;
   std::size_t max_inflight_ = 0;
-  const std::chrono::steady_clock::time_point start_ =
-      std::chrono::steady_clock::now();
+  const Clock::time_point start_ = Clock::now();
 
-  mutable std::mutex mu_;  // admission state
-  std::condition_variable cv_;
+  // Loop-thread state: everything below is touched only from the loop.
+  EventLoop* loop_ = nullptr;
+  std::int64_t seq_ = 0;
   std::size_t inflight_ = 0;
-  std::atomic<std::int64_t> seq_{0};
   std::atomic<bool> shutdown_{false};
-
-  std::thread maintenance_;
-  std::atomic<bool> stop_maintenance_{false};
+  std::uint64_t next_rid_ = 0;
+  std::unordered_map<std::uint64_t, std::unique_ptr<Routed>> routed_;
+  std::uint64_t next_tag_ = 0;
+  std::unordered_map<std::uint64_t, std::unique_ptr<Link>> links_;  // by tag
+  std::vector<std::vector<std::uint64_t>> slots_;  // per backend: solve link tags
+  std::vector<std::uint64_t> probes_;              // per backend: probe link tag
+  std::vector<std::uint64_t> dirty_;  // links with unsent bytes, flushed in tick()
+  Clock::time_point next_due_ = Clock::time_point::max();  // earliest timer
+  Clock::time_point next_maintenance_{};
+  Clock::time_point last_probe_{};
   std::vector<std::uint64_t> seen_generation_;  // health reset on respawn
 
   // The fleet's own registry (bisched_fleet_* series), separate from any
@@ -163,13 +206,14 @@ class Router {
   telemetry::Gauge* backends_unhealthy_ = nullptr;
   telemetry::Gauge* backends_down_ = nullptr;
   std::vector<telemetry::Histogram*> backend_latency_;
+  std::vector<telemetry::Counter*> link_opens_;
 };
 
-// The CLI entry points, mirroring serve/serve_listener: one session over
-// borrowed streams, or an accept loop until `shutdown`/SIGTERM. Both return
-// the router's final stats; *error is set on startup/listener failure.
-RouterStats route_stdio(const RouterOptions& options, std::istream& in,
-                        std::ostream& out, std::string* error);
+// The CLI entry points: one session bridged to the in/out fds (stdio), or
+// an accept loop until `shutdown`/SIGTERM. Both return the router's final
+// stats; *error is set on startup/listener failure.
+RouterStats route_stdio(const RouterOptions& options, int in_fd, int out_fd,
+                        std::string* error);
 RouterStats route_listener(const RouterOptions& options, Listener& listener,
                            std::string* error);
 

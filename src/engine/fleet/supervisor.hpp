@@ -25,7 +25,7 @@
 // supervisor itself is mechanism only — it never decides where requests go.
 //
 // Threading: poll() must be called from one thread at a time (the router's
-// maintenance loop); the read-side accessors are safe from any thread.
+// event-loop tick); the read-side accessors are safe from any thread.
 #pragma once
 
 #include <sys/types.h>

@@ -347,7 +347,7 @@ void Server::maybe_slow_log(const SolveResponse& response, double elapsed_ms,
   out << line.str() << std::flush;
 }
 
-Server::RenderedResponse Server::execute_and_render(const PendingRequest& pending) {
+Server::RenderedResponse Server::execute_and_render(const Request& pending) {
   RenderedResponse rendered;
   SolveResponse& response = rendered.response;
   if (!pending.bad.empty()) {
@@ -376,7 +376,7 @@ Server::RenderedResponse Server::execute_and_render(const PendingRequest& pendin
 }
 
 void Server::answer(Transport& transport, SessionState& state,
-                    const PendingRequest& pending) {
+                    const Request& pending) {
   const RenderedResponse rendered = execute_and_render(pending);
   {
     std::lock_guard<std::mutex> out_lock(state.out_mu);
@@ -393,7 +393,7 @@ void Server::answer(Transport& transport, SessionState& state,
 // Admission control: the session thread blocks once max_inflight_ requests
 // are in the pool (across all sessions), so arbitrarily fast clients never
 // pile up closures.
-void Server::submit(Transport& transport, SessionState& state, PendingRequest pending) {
+void Server::submit(Transport& transport, SessionState& state, Request pending) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [&] { return inflight_ < max_inflight_; });
@@ -430,31 +430,13 @@ void Server::session(Transport& transport) {
       break;
     }
 
-    PendingRequest pending;
-    pending.seq = seq_.fetch_add(1);
+    Request pending;
+    admit(frame, &pending.seq);
     pending.req = std::move(frame.req);
     pending.bad = std::move(frame.bad);
     pending.stats = pending.bad.empty() && frame.kind == Frame::Kind::kStats;
     pending.metrics = pending.bad.empty() && frame.kind == Frame::Kind::kMetrics;
     if (pending.req.id.empty()) pending.req.id = "#" + std::to_string(pending.seq);
-
-    // Frame-type accounting at classification time, in admission order (the
-    // frame counts itself: a stats frame admitted as seq N reports N+1
-    // requests, matching the pre-registry requests_ counter it replaces).
-    // Malformed means rejected at the protocol layer — a well-formed frame
-    // whose solve fails still counts as a solve frame (its failure shows up
-    // in the response status counters instead).
-    if (!pending.bad.empty()) {
-      frames_malformed_->inc();
-    } else if (pending.stats) {
-      frames_stats_->inc();
-    } else if (pending.metrics) {
-      frames_metrics_->inc();
-    } else if (frame.kind == Frame::Kind::kAuth) {
-      frames_auth_->inc();
-    } else {
-      frames_solve_->inc();
-    }
 
     // The auth gate. A valid token flips the session to authed silently (the
     // next frame's response is the ack — no response traffic to time); a bad
@@ -540,6 +522,108 @@ void Server::session(Transport& transport) {
   }
   sessions_active_->add(-1);
 }
+
+Dispatcher::Policy Server::policy() const {
+  Policy policy;
+  policy.auth_token = options_.auth_token;
+  policy.session_quota = options_.session_max_inflight;
+  policy.pipeline_depth = options_.pipeline_depth;
+  policy.idle_timeout_ms = options_.idle_timeout_ms;
+  return policy;
+}
+
+Dispatcher::LoopMetrics Server::loop_metrics() const {
+  LoopMetrics m;
+  m.sessions_total = sessions_total_;
+  m.sessions_active = sessions_active_;
+  m.open_sessions = open_sessions_;
+  m.parked_sessions = parked_sessions_;
+  m.pipeline_peak = pipeline_peak_;
+  m.wakeups = loop_wakeups_;
+  m.rejects_auth = rejects_auth_;
+  m.rejects_quota = rejects_quota_;
+  m.rejects_idle = rejects_idle_;
+  return m;
+}
+
+// Frame-type accounting at classification time, in admission order (the
+// frame counts itself: a stats frame admitted as seq N reports N+1
+// requests, matching the pre-registry requests_ counter it replaces).
+// Malformed means rejected at the protocol layer — a well-formed frame
+// whose solve fails still counts as a solve frame (its failure shows up in
+// the response status counters instead).
+bool Server::admit(const Frame& frame, std::int64_t* seq) {
+  *seq = seq_.fetch_add(1);
+  if (!frame.bad.empty()) {
+    frames_malformed_->inc();
+  } else if (frame.kind == Frame::Kind::kStats) {
+    frames_stats_->inc();
+  } else if (frame.kind == Frame::Kind::kMetrics) {
+    frames_metrics_->inc();
+  } else if (frame.kind == Frame::Kind::kAuth) {
+    frames_auth_->inc();
+  } else {
+    frames_solve_->inc();
+  }
+  return true;
+}
+
+std::string Server::probe(const Request& request, std::size_t session_inflight) {
+  std::string line = request.stats
+                         ? stats_frame_json(request.req.id, request.seq, session_inflight)
+                         : metrics_frame_json(request.req.id, request.seq);
+  responses_ok_->inc();
+  return line;
+}
+
+std::string Server::refuse(const Request& request) {
+  return execute_and_render(request).line;
+}
+
+bool Server::drop_connection() {
+  return fault::on_solve_frame() == fault::Action::kDropConnection;
+}
+
+bool Server::saturated() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return inflight_ >= max_inflight_;
+}
+
+// The worker renders, slow-logs and hands the line back to the loop.
+void Server::execute(Request request, Reply reply) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++inflight_;
+    inflight_gauge_->set(static_cast<double>(inflight_));
+  }
+  pool_->submit([this, reply, request = std::move(request)] {
+    RenderedResponse rendered = execute_and_render(request);
+    if (rendered.executed) {
+      maybe_slow_log(rendered.response, rendered.elapsed_ms, rendered.trace);
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      --inflight_;
+      inflight_gauge_->set(static_cast<double>(inflight_));
+    }
+    cv_.notify_all();
+    reply.send(std::move(rendered.line));
+  });
+}
+
+// Periodic warmth durability on the loop, as run_accept_loop's tick does it
+// for the blocking core.
+int Server::tick(Clock::time_point now) {
+  if (now - last_flush_ >= kStoreFlushInterval) {
+    last_flush_ = now;
+    warm_->flush();
+  }
+  return static_cast<int>(std::chrono::duration_cast<std::chrono::milliseconds>(
+                              last_flush_ + kStoreFlushInterval - now)
+                              .count());
+}
+
+void Server::quiesce() { pool_->wait_idle(); }
 
 ServeStats Server::stats() const {
   ServeStats stats;
@@ -643,7 +727,7 @@ ServeStats serve_listener(const SolverRegistry& registry, Listener& listener,
     // The epoll readiness core: sessions are heap state on one loop thread,
     // the solver pool stays the only real compute pool. It owns the same
     // periodic-flush / SIGTERM-drain duties the thread-per-client path has.
-    EventLoop loop(server, listener);
+    EventLoop loop(server, &listener);
     loop_ok = loop.run();
   } else {
     auto last_flush = std::chrono::steady_clock::now();

@@ -89,6 +89,7 @@
 
 #include "engine/api.hpp"
 #include "engine/registry.hpp"
+#include "engine/serve/event_loop.hpp"
 #include "engine/store/warm_state.hpp"
 #include "engine/transport.hpp"
 
@@ -97,8 +98,6 @@ class ThreadPool;
 }  // namespace bisched
 
 namespace bisched::engine {
-
-class EventLoop;
 
 struct ServeOptions {
   std::string alg = "auto";  // default per-request algorithm
@@ -142,8 +141,8 @@ struct ServeOptions {
 };
 
 // One classified request frame — the grammar in the header comment above,
-// shared by the serve session loop and the fleet router so the two
-// front-ends cannot drift. The caller strips blank/comment lines first; a
+// shared by the blocking session loop and the event loop (which fronts both
+// serve and the fleet router) so the front-ends cannot drift. The caller strips blank/comment lines first; a
 // native `instance` frame parses its body from `in` (on a body parse error
 // input is discarded up to the next blank line). A frame with a malformed
 // shape or a reserved `#<digits>` id comes back with `bad` set; the caller
@@ -190,13 +189,15 @@ struct ServeStats {
 
 // The resident, transport-agnostic core. Construct once; run one session
 // per connected client (concurrently if desired); read stats() at the end.
-class Server {
+// It is also the event loop's dispatcher for socket serves: solve frames go
+// to its pool, and the loop's series land in its registry.
+class Server final : public Dispatcher {
  public:
   // `warm` may be shared (e.g. pre-warmed by a batch run, or carrying a
   // persistent store); nullptr uses a private memory-only one.
   Server(const SolverRegistry& registry, const ServeOptions& options,
          WarmState* warm = nullptr);
-  ~Server();
+  ~Server() override;
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
@@ -207,7 +208,7 @@ class Server {
   void session(Transport& transport);
 
   // Set once a session consumes a `shutdown` frame; the accept loop polls it.
-  bool shutdown_requested() const { return shutdown_.load(); }
+  bool shutdown_requested() const override { return shutdown_.load(); }
 
   WarmState& warm() { return *warm_; }
   ServeStats stats() const;
@@ -220,21 +221,23 @@ class Server {
   double uptime_seconds() const;
 
  private:
-  friend class EventLoop;  // the async core drives the same pipeline
-
   struct SessionState;
 
-  // One admitted frame. The session loop decodes only what must come off the
-  // shared request stream: a native `instance` body is parsed in place (into
-  // req.parsed), while file requests and inline instance text defer their
-  // IO/parse work to the worker so the loop keeps admitting frames.
-  struct PendingRequest {
-    SolveRequest req;
-    std::int64_t seq = 0;
-    bool stats = false;    // `stats [ID]` introspection frame, answered inline
-    bool metrics = false;  // `metrics [ID]` scrape frame, answered inline
-    std::string bad;       // nonempty: malformed frame, answer with this error
-  };
+  // The event loop's dispatcher seam (engine/serve/event_loop.hpp). A native
+  // `instance` body arrives parsed (req.parsed); file requests and inline
+  // instance text defer their IO/parse work to the worker so the loop keeps
+  // admitting frames.
+  Policy policy() const override;
+  LoopMetrics loop_metrics() const override;
+  bool admit(const Frame& frame, std::int64_t* seq) override;
+  std::string probe(const Request& request, std::size_t session_inflight) override;
+  std::string refuse(const Request& request) override;
+  bool drop_connection() override;
+  bool saturated() const override;
+  void execute(Request request, Reply reply) override;
+  int tick(Clock::time_point now) override;
+  void request_shutdown() override { shutdown_.store(true); }
+  void quiesce() override;
 
   // What execute_and_render hands back: the wire bytes plus the pre-strip
   // timing/trace the slow log wants (the caller logs after the write, keeping
@@ -253,10 +256,10 @@ class Server {
   // client that has read a response must find it reflected in the very next
   // stats frame (the lockstep test pins this). Both cores answer through
   // this one path so their bytes cannot drift.
-  RenderedResponse execute_and_render(const PendingRequest& pending);
+  RenderedResponse execute_and_render(const Request& pending);
 
-  void submit(Transport& transport, SessionState& state, PendingRequest pending);
-  void answer(Transport& transport, SessionState& state, const PendingRequest& pending);
+  void submit(Transport& transport, SessionState& state, Request pending);
+  void answer(Transport& transport, SessionState& state, const Request& pending);
   // Introspection frames, answered inline (no pool round trip):
   // `"type": "stats"` (flat counters) and `"type": "metrics"` (Prometheus
   // exposition in the "body" member).
@@ -274,6 +277,7 @@ class Server {
   std::unique_ptr<ThreadPool> pool_;
   const std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();
+  Clock::time_point last_flush_ = start_;  // the event loop's journal flushes
 
   mutable std::mutex mu_;  // guards the admission state below
   std::condition_variable cv_;
@@ -325,8 +329,8 @@ ServeStats serve_listener(const SolverRegistry& registry, Listener& listener,
                           const ServeOptions& options, std::string* error,
                           WarmState* warm = nullptr);
 
-// The accept loop under serve_listener, factored out so the fleet router
-// front-end can share it: accepts clients off `listener`, runs `session` on
+// The thread-per-client accept loop under serve_listener (the
+// `--serve-core=threads` path): accepts clients off `listener`, runs `session` on
 // a detached thread per connection (the thread owns its transport), calls
 // `tick()` between accepts (~every 200ms poll), and stops when `stop()`
 // turns true, the listener fails, or the process receives SIGTERM (graceful

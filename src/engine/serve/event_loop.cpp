@@ -17,20 +17,21 @@
 #include <deque>
 #include <iostream>
 #include <istream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <streambuf>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "engine/fault.hpp"
 #include "engine/serve.hpp"
 #include "engine/transport.hpp"
+#include "engine/telemetry/metrics.hpp"
 #include "io/format.hpp"
-#include "util/parallel.hpp"
 
 namespace bisched::engine {
 
@@ -38,9 +39,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Same duties as the blocking core's constants: journal flush cadence, and
-// how long shutdown waits for a slow reader before dropping its responses.
-constexpr std::chrono::seconds kStoreFlushInterval(5);
+// How long shutdown waits for a slow reader before dropping its responses.
 constexpr std::chrono::seconds kShutdownFlushGrace(5);
 
 // A peer that queues responses it never reads gets its requests parked too:
@@ -48,7 +47,7 @@ constexpr std::chrono::seconds kShutdownFlushGrace(5);
 // until the socket drains.
 constexpr std::size_t kWriteHighWater = std::size_t{4} << 20;
 
-// Default per-session pipeline bound when ServeOptions::pipeline_depth is 0.
+// Default per-session pipeline bound when Policy::pipeline_depth is 0.
 constexpr std::size_t kDefaultPipelineDepth = 64;
 
 // SIGTERM = graceful drain, exactly like run_accept_loop's handler (one core
@@ -303,15 +302,16 @@ class InstanceBodyScanner {
 
 struct EventLoop::Impl {
   // epoll tags: sessions get ids >= kFirstSession so the two singleton fds
-  // can share the same u64 dispatch key space.
+  // can share the same u64 dispatch key space; dispatcher fds carry the top
+  // bit.
   static constexpr std::uint64_t kListenerTag = 0;
   static constexpr std::uint64_t kWakeTag = 1;
   static constexpr std::uint64_t kFirstSession = 2;
+  static constexpr std::uint64_t kDispatcherBit = std::uint64_t{1} << 63;
 
   struct Session {
     std::uint64_t sid = 0;
     int fd = -1;
-    std::string peer;
 
     // Read side: the frame state machine over an incremental buffer.
     std::string rbuf;
@@ -327,8 +327,8 @@ struct EventLoop::Impl {
     std::string wbuf;
     std::size_t woff = 0;
 
-    // Pipelining: pool-dispatched frames carry a session-local ticket;
-    // completions arriving out of order wait in `held` until their turn.
+    // Pipelining: executed frames carry a session-local ticket; completions
+    // arriving out of order wait in `held` until their turn.
     std::uint64_t next_ticket = 0;
     std::uint64_t next_flush = 0;
     std::map<std::uint64_t, std::string> held;
@@ -353,22 +353,28 @@ struct EventLoop::Impl {
     std::string line;
   };
 
-  Server& server;
-  Listener& listener;
+  EventLoop& self;
+  Dispatcher& dispatcher;
+  Listener* listener;
+  const Dispatcher::Policy policy;
+  const Dispatcher::LoopMetrics metrics;
+  const bool tcp;  // sessions are TCP connections (TCP_NODELAY on accept)
   int epfd = -1;
   int wakefd = -1;
   int reserve_fd = -1;  // closed to make room for a shedding accept on EMFILE
-  std::string peer_prefix;
   std::uint64_t next_sid = kFirstSession;
-  std::uint64_t accepted_count = 0;
   std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions;
   std::deque<std::uint64_t> parked_q;
   std::size_t parked_count = 0;
   double pipeline_peak = 0;
 
+  // Completions from other threads arrive over cq + the eventfd; the loop
+  // thread's own (a router answering from a backend link) skip both.
+  std::thread::id loop_thread;
   std::mutex cq_mu;
   std::vector<Completion> cq;
-  std::size_t outstanding = 0;  // worker tasks whose completion is unseen
+  std::vector<Completion> local_cq;
+  std::size_t outstanding = 0;  // executed frames whose completion is unseen
 
   bool accepting = true;
   bool listener_armed = false;
@@ -376,25 +382,36 @@ struct EventLoop::Impl {
   bool shutting_down = false;
   Clock::time_point accept_backoff_until{};
   Clock::time_point shutdown_deadline{};
-  Clock::time_point last_flush{};
   Clock::time_point last_idle_scan{};
   Clock::time_point last_shed_log{};
 
-  Impl(Server& sv, Listener& ls) : server(sv), listener(ls) {
+  static void set(telemetry::Gauge* gauge, double value) {
+    if (gauge != nullptr) gauge->set(value);
+  }
+  static void inc(telemetry::Counter* counter) {
+    if (counter != nullptr) counter->inc();
+  }
+
+  Impl(EventLoop& loop, Dispatcher& d, Listener* ls)
+      : self(loop),
+        dispatcher(d),
+        listener(ls),
+        policy(d.policy()),
+        metrics(d.loop_metrics()),
+        tcp(ls != nullptr && ls->endpoint().rfind("tcp:", 0) == 0) {
     epfd = ::epoll_create1(EPOLL_CLOEXEC);
     wakefd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
     reserve_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-    peer_prefix =
-        listener.endpoint().rfind("unix:", 0) == 0 ? "unix:" : "tcp:";
     if (epfd < 0 || wakefd < 0) return;
-    // The accept loop drains until EAGAIN, which needs a nonblocking
-    // listener (the poll-first blocking core never relied on blocking mode).
-    const int flags = ::fcntl(listener.fd(), F_GETFL, 0);
-    if (flags >= 0) ::fcntl(listener.fd(), F_SETFL, flags | O_NONBLOCK);
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 = kWakeTag;
     ::epoll_ctl(epfd, EPOLL_CTL_ADD, wakefd, &ev);
+    if (listener == nullptr) return;
+    // The accept loop drains until EAGAIN, which needs a nonblocking
+    // listener (the poll-first blocking core never relied on blocking mode).
+    const int flags = ::fcntl(listener->fd(), F_GETFL, 0);
+    if (flags >= 0) ::fcntl(listener->fd(), F_SETFL, flags | O_NONBLOCK);
     arm_listener();
   }
 
@@ -406,47 +423,45 @@ struct EventLoop::Impl {
   }
 
   void arm_listener() {
-    if (listener_armed || listener.fd() < 0) return;
+    if (listener_armed || listener == nullptr || listener->fd() < 0) return;
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 = kListenerTag;
-    if (::epoll_ctl(epfd, EPOLL_CTL_ADD, listener.fd(), &ev) == 0) {
+    if (::epoll_ctl(epfd, EPOLL_CTL_ADD, listener->fd(), &ev) == 0) {
       listener_armed = true;
     }
   }
 
   void disarm_listener() {
     if (!listener_armed) return;
-    ::epoll_ctl(epfd, EPOLL_CTL_DEL, listener.fd(), nullptr);
+    ::epoll_ctl(epfd, EPOLL_CTL_DEL, listener->fd(), nullptr);
     listener_armed = false;
   }
 
   std::size_t pipeline_cap() const {
-    return server.options_.pipeline_depth != 0 ? server.options_.pipeline_depth
-                                               : kDefaultPipelineDepth;
+    return policy.pipeline_depth != 0 ? policy.pipeline_depth : kDefaultPipelineDepth;
   }
 
   // ----------------------------------------------------------------- parking
 
-  bool should_park(const Session& s) {
+  bool should_park(const Session& s) const {
     if (s.closing || s.dead) return false;
     if (s.inflight >= pipeline_cap()) return true;
     if (s.wbuf.size() - s.woff > kWriteHighWater) return true;
-    std::lock_guard<std::mutex> lock(server.mu_);
-    return server.inflight_ >= server.max_inflight_;
+    return dispatcher.saturated();
   }
 
   void park(Session& s) {
     if (s.parked) return;
     s.parked = true;
     parked_q.push_back(s.sid);
-    server.parked_sessions_->set(static_cast<double>(++parked_count));
+    set(metrics.parked_sessions, static_cast<double>(++parked_count));
     update_interest(s);
   }
 
   void unpark(Session& s) {
     s.parked = false;
-    server.parked_sessions_->set(static_cast<double>(--parked_count));
+    set(metrics.parked_sessions, static_cast<double>(--parked_count));
     update_interest(s);
     process_input(s);
     update_interest(s);
@@ -498,7 +513,7 @@ struct EventLoop::Impl {
   }
 
   // Destroys the session once nothing references it anymore: all dispatched
-  // work completed (workers never touch sessions, but their responses must
+  // work completed (executors never touch sessions, but their responses must
   // land or be dropped deliberately) and the write buffer is flushed (or the
   // peer is gone). Call only in tail position — `s` is gone afterwards.
   void maybe_finish(Session& s) {
@@ -509,10 +524,10 @@ struct EventLoop::Impl {
       ::epoll_ctl(epfd, EPOLL_CTL_DEL, s.fd, nullptr);
       s.in_epoll = false;
     }
-    if (s.parked) server.parked_sessions_->set(static_cast<double>(--parked_count));
-    server.sessions_active_->add(-1);
+    if (s.parked) set(metrics.parked_sessions, static_cast<double>(--parked_count));
+    if (metrics.sessions_active != nullptr) metrics.sessions_active->add(-1);
     sessions.erase(s.sid);  // s is dangling past this line
-    server.open_sessions_->set(static_cast<double>(sessions.size()));
+    set(metrics.open_sessions, static_cast<double>(sessions.size()));
   }
 
   // ------------------------------------------------------------------ accept
@@ -522,8 +537,7 @@ struct EventLoop::Impl {
     Session& s = *session;
     s.sid = next_sid++;
     s.fd = fd;
-    s.peer = peer_prefix + std::to_string(++accepted_count);
-    s.authed = server.options_.auth_token.empty();
+    s.authed = policy.auth_token.empty();
     s.last_frame = Clock::now();
     epoll_event ev{};
     ev.events = EPOLLIN;
@@ -533,10 +547,10 @@ struct EventLoop::Impl {
     }
     s.in_epoll = true;
     s.armed = EPOLLIN;
-    server.sessions_total_->inc();
-    server.sessions_active_->add(1);
+    inc(metrics.sessions_total);
+    if (metrics.sessions_active != nullptr) metrics.sessions_active->add(1);
     sessions.emplace(s.sid, std::move(session));
-    server.open_sessions_->set(static_cast<double>(sessions.size()));
+    set(metrics.open_sessions, static_cast<double>(sessions.size()));
   }
 
   void shed_and_backoff(int err) {
@@ -548,14 +562,14 @@ struct EventLoop::Impl {
       ::close(reserve_fd);
       reserve_fd = -1;
       const int shed =
-          ::accept4(listener.fd(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+          ::accept4(listener->fd(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (shed >= 0) ::close(shed);
       reserve_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
     }
     const auto now = Clock::now();
     if (now - last_shed_log >= std::chrono::seconds(1)) {
       last_shed_log = now;
-      std::cerr << "serve: accept on " << listener.endpoint() << ": "
+      std::cerr << "serve: accept on " << listener->endpoint() << ": "
                 << std::strerror(err)
                 << " — shedding new connections and backing off (raise "
                    "RLIMIT_NOFILE to serve more concurrent sessions)\n";
@@ -568,8 +582,9 @@ struct EventLoop::Impl {
     if (!accepting) return;
     for (int burst = 0; burst < 256; ++burst) {
       const int fd =
-          ::accept4(listener.fd(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+          ::accept4(listener->fd(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd >= 0) {
+        if (tcp) set_tcp_nodelay(fd);
         add_session(fd);
         continue;
       }
@@ -580,7 +595,7 @@ struct EventLoop::Impl {
         shed_and_backoff(errno);
         return;
       }
-      std::cerr << "serve: accept on " << listener.endpoint()
+      std::cerr << "serve: accept on " << listener->endpoint()
                 << " failed: " << std::strerror(errno) << "\n";
       listener_failed = true;
       disarm_listener();
@@ -619,52 +634,15 @@ struct EventLoop::Impl {
 
   // ------------------------------------------------------------- dispatching
 
-  // Renders and queues a frame the blocking core would answer inline on the
-  // session thread (auth failures, over-quota, the pre-auth rejection):
-  // counted in execute_and_render before the bytes are queued, and written
-  // ahead of any still-pending solve responses — same overtaking the
-  // blocking core exhibits.
-  void inline_answer(Session& s, const Server::PendingRequest& pending) {
-    Server::RenderedResponse rendered = server.execute_and_render(pending);
-    enqueue_write(s, rendered.line);
-    if (rendered.executed) {
-      server.maybe_slow_log(rendered.response, rendered.elapsed_ms, rendered.trace);
-    }
-  }
-
-  void submit_to_pool(Session& s, Server::PendingRequest pending) {
+  void execute(Session& s, Dispatcher::Request request) {
     const std::uint64_t ticket = s.next_ticket++;
     ++s.inflight;
     if (static_cast<double>(s.inflight) > pipeline_peak) {
       pipeline_peak = static_cast<double>(s.inflight);
-      server.pipeline_peak_->set(pipeline_peak);
-    }
-    {
-      std::lock_guard<std::mutex> lock(server.mu_);
-      ++server.inflight_;
-      server.inflight_gauge_->set(static_cast<double>(server.inflight_));
+      set(metrics.pipeline_peak, pipeline_peak);
     }
     ++outstanding;
-    const std::uint64_t sid = s.sid;
-    server.pool_->submit([this, sid, ticket, pending = std::move(pending)] {
-      Server::RenderedResponse rendered = server.execute_and_render(pending);
-      if (rendered.executed) {
-        server.maybe_slow_log(rendered.response, rendered.elapsed_ms,
-                              rendered.trace);
-      }
-      {
-        std::lock_guard<std::mutex> lock(server.mu_);
-        --server.inflight_;
-        server.inflight_gauge_->set(static_cast<double>(server.inflight_));
-      }
-      server.cv_.notify_all();
-      {
-        std::lock_guard<std::mutex> lock(cq_mu);
-        cq.push_back(Completion{sid, ticket, std::move(rendered.line)});
-      }
-      std::uint64_t one = 1;
-      [[maybe_unused]] const ssize_t n = ::write(wakefd, &one, sizeof(one));
-    });
+    dispatcher.execute(std::move(request), Reply{&self, s.sid, ticket});
   }
 
   // One complete frame — the async mirror of the blocking session loop's
@@ -678,79 +656,62 @@ struct EventLoop::Impl {
       return;
     }
     if (frame.kind == Frame::Kind::kShutdown) {
-      server.shutdown_.store(true);
+      dispatcher.request_shutdown();
       s.closing = true;
       return;
     }
 
-    Server::PendingRequest pending;
-    pending.seq = server.seq_.fetch_add(1);
-    pending.req = std::move(frame.req);
-    pending.bad = std::move(frame.bad);
-    pending.stats = pending.bad.empty() && frame.kind == Frame::Kind::kStats;
-    pending.metrics = pending.bad.empty() && frame.kind == Frame::Kind::kMetrics;
-    if (pending.req.id.empty()) pending.req.id = "#" + std::to_string(pending.seq);
+    Dispatcher::Request request;
+    if (!dispatcher.admit(frame, &request.seq)) return;
+    request.req = std::move(frame.req);
+    request.bad = std::move(frame.bad);
+    request.stats = request.bad.empty() && frame.kind == Frame::Kind::kStats;
+    request.metrics = request.bad.empty() && frame.kind == Frame::Kind::kMetrics;
+    if (request.req.id.empty()) request.req.id = "#" + std::to_string(request.seq);
 
-    if (!pending.bad.empty()) {
-      server.frames_malformed_->inc();
-    } else if (pending.stats) {
-      server.frames_stats_->inc();
-    } else if (pending.metrics) {
-      server.frames_metrics_->inc();
-    } else if (frame.kind == Frame::Kind::kAuth) {
-      server.frames_auth_->inc();
-    } else {
-      server.frames_solve_->inc();
-    }
-
-    if (pending.bad.empty() && frame.kind == Frame::Kind::kAuth) {
-      if (s.authed ||
-          detail::token_equal(frame.auth_token, server.options_.auth_token)) {
+    // Refusals are answered inline, ahead of any still-pending solve
+    // responses — the same overtaking the blocking core exhibits.
+    if (request.bad.empty() && frame.kind == Frame::Kind::kAuth) {
+      if (s.authed || detail::token_equal(frame.auth_token, policy.auth_token)) {
         s.authed = true;
         return;
       }
-      server.rejects_auth_->inc();
-      pending.bad = "auth failed: bad token";
-      inline_answer(s, pending);
+      inc(metrics.rejects_auth);
+      request.bad = "auth failed: bad token";
+      enqueue_write(s, dispatcher.refuse(request));
       s.closing = true;
       return;
     }
     if (!s.authed) {
-      server.rejects_auth_->inc();
-      pending.bad = "auth required: present `auth TOKEN` as the first frame";
-      pending.stats = pending.metrics = false;
-      inline_answer(s, pending);
+      inc(metrics.rejects_auth);
+      request.bad = "auth required: present `auth TOKEN` as the first frame";
+      request.stats = request.metrics = false;
+      enqueue_write(s, dispatcher.refuse(request));
       s.closing = true;
       return;
     }
 
-    if (pending.bad.empty() && !pending.stats && !pending.metrics &&
-        fault::on_solve_frame() == fault::Action::kDropConnection) {
+    if (request.bad.empty() && !request.stats && !request.metrics &&
+        dispatcher.drop_connection()) {
       mark_dead(s);  // drop-after: close with the response unsent
       return;
     }
 
-    if ((pending.stats || pending.metrics) && pending.bad.empty()) {
-      const std::string line =
-          pending.stats
-              ? server.stats_frame_json(pending.req.id, pending.seq, s.inflight)
-              : server.metrics_frame_json(pending.req.id, pending.seq);
-      server.responses_ok_->inc();
-      enqueue_write(s, line);
+    if ((request.stats || request.metrics) && request.bad.empty()) {
+      enqueue_write(s, dispatcher.probe(request, s.inflight));
       return;
     }
 
-    if (pending.bad.empty() && server.options_.session_max_inflight > 0 &&
-        s.inflight >= server.options_.session_max_inflight) {
-      server.rejects_quota_->inc();
-      pending.bad = "over-quota: session already has " +
-                    std::to_string(server.options_.session_max_inflight) +
-                    " requests in flight";
-      inline_answer(s, pending);
+    if (request.bad.empty() && policy.session_quota > 0 &&
+        s.inflight >= policy.session_quota) {
+      inc(metrics.rejects_quota);
+      request.bad = "over-quota: session already has " +
+                    std::to_string(policy.session_quota) + " requests in flight";
+      enqueue_write(s, dispatcher.refuse(request));
       return;
     }
 
-    submit_to_pool(s, std::move(pending));
+    execute(s, std::move(request));
   }
 
   // ----------------------------------------------------------------- reading
@@ -869,6 +830,19 @@ struct EventLoop::Impl {
 
   // ------------------------------------------------------------- completions
 
+  void complete(std::uint64_t sid, std::uint64_t ticket, std::string line) {
+    if (std::this_thread::get_id() == loop_thread) {
+      local_cq.push_back(Completion{sid, ticket, std::move(line)});
+      return;
+    }
+    {
+      std::lock_guard<std::mutex> lock(cq_mu);
+      cq.push_back(Completion{sid, ticket, std::move(line)});
+    }
+    std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(wakefd, &one, sizeof(one));
+  }
+
   void drain_wake() {
     std::uint64_t drained = 0;
     while (::read(wakefd, &drained, sizeof(drained)) > 0) {
@@ -877,9 +851,15 @@ struct EventLoop::Impl {
 
   void drain_completions() {
     std::vector<Completion> batch;
+    batch.swap(local_cq);
     {
       std::lock_guard<std::mutex> lock(cq_mu);
-      batch.swap(cq);
+      if (batch.empty()) {
+        batch.swap(cq);
+      } else {
+        std::move(cq.begin(), cq.end(), std::back_inserter(batch));
+        cq.clear();
+      }
     }
     if (batch.empty()) return;
     for (auto& c : batch) {
@@ -890,7 +870,7 @@ struct EventLoop::Impl {
       --s.inflight;
       s.held.emplace(c.ticket, std::move(c.line));
       // Flush in ticket order: pipelined responses leave in request order
-      // no matter which worker finished first.
+      // no matter which executor finished first.
       while (!s.held.empty() && s.held.begin()->first == s.next_flush) {
         enqueue_write(s, s.held.begin()->second);
         s.held.erase(s.held.begin());
@@ -904,8 +884,8 @@ struct EventLoop::Impl {
   // ------------------------------------------------------------------- ticks
 
   void idle_reap(Clock::time_point now) {
-    if (server.options_.idle_timeout_ms <= 0) return;
-    const auto window = std::chrono::milliseconds(server.options_.idle_timeout_ms);
+    if (policy.idle_timeout_ms <= 0) return;
+    const auto window = std::chrono::milliseconds(policy.idle_timeout_ms);
     std::vector<std::uint64_t> doomed;
     for (const auto& [sid, session] : sessions) {
       const Session& s = *session;
@@ -916,7 +896,7 @@ struct EventLoop::Impl {
     for (const std::uint64_t sid : doomed) {
       auto it = sessions.find(sid);
       if (it == sessions.end()) continue;
-      server.rejects_idle_->inc();
+      inc(metrics.rejects_idle);
       mark_dead(*it->second);  // slowloris guard: close without a response
       maybe_finish(*it->second);
     }
@@ -945,33 +925,40 @@ struct EventLoop::Impl {
     shutdown_deadline = Clock::now() + kShutdownFlushGrace;
   }
 
-  int compute_timeout(Clock::time_point now) const {
-    int timeout = shutting_down ? 50 : 200;
-    if (server.options_.idle_timeout_ms > 0) {
-      timeout = std::min(timeout,
-                         std::max(10, server.options_.idle_timeout_ms / 4));
+  int compute_timeout(Clock::time_point now) {
+    int timeout = std::min(shutting_down ? 50 : 200, dispatcher.tick(now));
+    if (!local_cq.empty()) return 0;  // the dispatcher answered during tick
+    if (policy.idle_timeout_ms > 0) {
+      timeout = std::min(timeout, std::max(10, policy.idle_timeout_ms / 4));
     }
-    if (!listener_armed && accepting && !shutting_down) {
+    if (!listener_armed && accepting && !shutting_down && listener != nullptr) {
       const long long wait =
           std::chrono::duration_cast<std::chrono::milliseconds>(
               accept_backoff_until - now)
               .count();
       if (wait < timeout) timeout = static_cast<int>(std::max<long long>(1, wait));
     }
-    return timeout;
+    return std::max(0, timeout);
+  }
+
+  bool listener_down() const {
+    return listener_failed || (listener != nullptr && !listener->ok());
   }
 
   bool run() {
-    if (epfd < 0 || wakefd < 0 || listener.fd() < 0) return false;
+    if (epfd < 0 || wakefd < 0) return false;
+    if (listener != nullptr && listener->fd() < 0) return false;
     ::signal(SIGTERM, drain_handler);
     g_drain.store(false);
+    loop_thread = std::this_thread::get_id();
+    dispatcher.attach(self);
     bool failed = false;
-    last_flush = last_idle_scan = Clock::now();
+    last_idle_scan = Clock::now();
     epoll_event events[128];
     while (true) {
       if (!shutting_down &&
-          (server.shutdown_requested() || g_drain.load() || listener_failed ||
-           !listener.ok())) {
+          (dispatcher.shutdown_requested() || g_drain.load() || listener_down() ||
+           (listener == nullptr && sessions.empty()))) {
         begin_shutdown();
       }
       if (shutting_down && sessions.empty() && outstanding == 0) break;
@@ -982,7 +969,7 @@ struct EventLoop::Impl {
         arm_listener();
       }
       const int n = ::epoll_wait(epfd, events, 128, compute_timeout(now));
-      server.loop_wakeups_->inc();
+      inc(metrics.wakeups);
       if (n < 0) {
         if (errno == EINTR) continue;  // SIGTERM lands here; checked above
         failed = true;
@@ -996,6 +983,10 @@ struct EventLoop::Impl {
         }
         if (tag == kWakeTag) {
           drain_wake();
+          continue;
+        }
+        if ((tag & kDispatcherBit) != 0) {
+          dispatcher.on_ready(tag & ~kDispatcherBit, events[i].events);
           continue;
         }
         auto it = sessions.find(tag);
@@ -1025,10 +1016,6 @@ struct EventLoop::Impl {
         last_idle_scan = now;
         idle_reap(now);
       }
-      if (now - last_flush >= kStoreFlushInterval) {
-        last_flush = now;
-        server.warm_->flush();
-      }
       if (shutting_down && now >= shutdown_deadline) {
         // Grace expired: drop responses a non-reading peer never collected.
         std::vector<std::uint64_t> sids;
@@ -1042,23 +1029,46 @@ struct EventLoop::Impl {
         shutdown_deadline = now + kShutdownFlushGrace;
       }
     }
-    // Workers capture `this` (completion queue, wakefd): never return while
-    // any are still running, even on the failure path.
-    server.pool_->wait_idle();
+    // Executors capture the loop (completion queue, wakefd): never return
+    // while any are still running, even on the failure path.
+    dispatcher.quiesce();
     {
       std::lock_guard<std::mutex> lock(cq_mu);
       cq.clear();
-      outstanding = 0;
     }
+    local_cq.clear();
+    outstanding = 0;
     return !failed && !listener_failed;
   }
 };
 
-EventLoop::EventLoop(Server& server, Listener& listener)
-    : impl_(std::make_unique<Impl>(server, listener)) {}
+void Reply::send(std::string line) const { loop->complete(session, ticket, std::move(line)); }
+
+EventLoop::EventLoop(Dispatcher& dispatcher, Listener* listener)
+    : impl_(std::make_unique<Impl>(*this, dispatcher, listener)) {}
 
 EventLoop::~EventLoop() = default;
 
+void EventLoop::adopt(int fd) {
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+  impl_->add_session(fd);
+}
+
 bool EventLoop::run() { return impl_->run(); }
+
+bool EventLoop::watch(int fd, std::uint64_t tag, std::uint32_t events) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = tag | Impl::kDispatcherBit;
+  if (::epoll_ctl(impl_->epfd, EPOLL_CTL_MOD, fd, &ev) == 0) return true;
+  return errno == ENOENT && ::epoll_ctl(impl_->epfd, EPOLL_CTL_ADD, fd, &ev) == 0;
+}
+
+void EventLoop::unwatch(int fd) { ::epoll_ctl(impl_->epfd, EPOLL_CTL_DEL, fd, nullptr); }
+
+void EventLoop::complete(std::uint64_t session, std::uint64_t ticket, std::string line) {
+  impl_->complete(session, ticket, std::move(line));
+}
 
 }  // namespace bisched::engine

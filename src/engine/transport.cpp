@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -335,6 +336,7 @@ std::unique_ptr<FdTransport> TcpListener::accept(int poll_ms) {
     }
     return nullptr;
   }
+  set_tcp_nodelay(client);
   return std::make_unique<FdTransport>(client, "tcp:" + std::to_string(++accepted_));
 }
 
@@ -408,7 +410,9 @@ int tcp_connect(const std::string& host, int port, std::string* error,
       last_error = "connect '" + host + ":" + std::to_string(port) + "': " + why;
       ::close(fd);
       fd = -1;
+      continue;
     }
+    set_tcp_nodelay(fd);
   }
   ::freeaddrinfo(addresses);
   if (fd < 0 && error != nullptr) *error = last_error;
@@ -435,6 +439,11 @@ int unix_connect(const std::string& path, std::string* error) {
     return -1;
   }
   return fd;
+}
+
+void set_tcp_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 void set_io_timeout(int fd, int recv_ms, int send_ms) {

@@ -196,17 +196,23 @@ class TcpListener final : public Listener {
 int unix_connect(const std::string& path, std::string* error);
 
 // Client side: connects to host:port over TCP (tries every resolved
-// address); returns the fd, or -1 with *error set. `connect_timeout_ms > 0`
-// bounds each address attempt (nonblocking connect + poll) — the fleet
-// router must not hang on a backend whose listener died mid-SYN; 0 keeps
-// the classic blocking connect.
+// address); returns the fd (TCP_NODELAY set), or -1 with *error set.
+// `connect_timeout_ms > 0` bounds each address attempt (nonblocking connect
+// + poll) — a load driver must not hang on a server whose listener died
+// mid-SYN; 0 keeps the classic blocking connect.
 int tcp_connect(const std::string& host, int port, std::string* error,
                 int connect_timeout_ms = 0);
 
+// Disables Nagle's algorithm on a TCP socket. Every TCP socket serve,
+// client and route open or accept gets it: a pipelining peer writes many
+// small frames, and with Nagle on the second one waits for the first one's
+// ACK. Unix sockets have no such delay and do not need it.
+void set_tcp_nodelay(int fd);
+
 // Arms SO_RCVTIMEO / SO_SNDTIMEO on a connected socket. A read past the
-// deadline fails with EAGAIN, which FdStreambuf surfaces as EOF — exactly
-// the "backend stopped answering" signal a router retry loop wants. <= 0
-// leaves that direction unbounded.
+// deadline fails with EAGAIN, which FdStreambuf surfaces as EOF — the
+// "server stopped answering" signal a blocking client's retry loop wants.
+// <= 0 leaves that direction unbounded.
 void set_io_timeout(int fd, int recv_ms, int send_ms);
 
 }  // namespace bisched::engine

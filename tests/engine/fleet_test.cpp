@@ -1,9 +1,12 @@
 // Fleet tests: the routing primitives (hash ring, health tracker), the
-// fault-injection spec parser, and the acceptance path — a subprocess
+// fault-injection spec parser, the acceptance path — a subprocess
 // `bisched_cli route` over two supervised backends with BISCHED_FAULT
 // crashing one mid-batch, where every client request must still be answered
 // (retried/failed-over invisibly) and the responses must match a
-// single-backend run byte-for-byte modulo placement provenance.
+// single-backend run byte-for-byte modulo placement provenance — and the
+// router's persistent backend links, driven in-process: a backend logs one
+// session per link rather than per request, and dropped, stalled and
+// respawned backends each cost only the attempts they must.
 #include "engine/fleet/hash_ring.hpp"
 
 #include <gtest/gtest.h>
@@ -19,10 +22,13 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/fault.hpp"
 #include "engine/fleet/health.hpp"
+#include "engine/fleet/router.hpp"
+#include "engine/transport.hpp"
 #include "io/format.hpp"
 #include "sched/instance_hash.hpp"
 #include "testing_util.hpp"
@@ -318,13 +324,12 @@ TEST(FleetCli, CrashMidBatchFailsOverInvisiblyAndMatchesSingleBackendRun) {
   std::ostringstream fleet_input;
   fleet_input << frames.str() << "stats s\nmetrics m\nquit\n";
 
-  // --route-threads=1: sequential routing, so the fault's frame count maps
-  // deterministically onto the request order. --max-inflight=1 serializes
-  // admission completely: every solve (and its retries) settles before the
+  // --max-inflight=1 serializes admission completely: routing is
+  // sequential, so the fault's frame count maps deterministically onto the
+  // request order, and every solve (and its retries) settles before the
   // trailing stats/metrics probes are even read, so the counters they report
   // are exact, not a point-in-time race.
   const std::vector<std::string> fleet_args = {"--fleet=2", "--stable",
-                                               "--route-threads=1",
                                                "--max-inflight=1",
                                                "--deadline-ms=20000"};
   const RouteRun faulted =
@@ -359,8 +364,8 @@ TEST(FleetCli, CrashMidBatchFailsOverInvisiblyAndMatchesSingleBackendRun) {
   // Control run: one backend, no fault. Same requests must produce the same
   // responses modulo seq and cache provenance — failover changed WHERE a
   // request ran, never its answer.
-  const RouteRun single = run_route({"--fleet=1", "--stable", "--route-threads=1"},
-                                    nullptr, frames.str() + "quit\n");
+  const RouteRun single = run_route({"--fleet=1", "--stable"}, nullptr,
+                                    frames.str() + "quit\n");
   EXPECT_EQ(single.exit_code, 0) << single.out;
   const auto control = lines_by_id(single.out);
   for (int i = 0; i < id; ++i) {
@@ -374,6 +379,262 @@ TEST(FleetCli, CrashMidBatchFailsOverInvisiblyAndMatchesSingleBackendRun) {
   }
 
   fs::remove_all(dir);
+}
+
+// ------------------------------------------------------- links (in-process) ---
+
+using engine::fleet::Router;
+using engine::fleet::RouterOptions;
+
+bool send_all(int fd, const std::string& text) {
+  std::size_t off = 0;
+  while (off < text.size()) {
+    const ssize_t n = ::write(fd, text.data() + off, text.size() - off);
+    if (n <= 0) return false;
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+// Sends `frames` on `fd`, then reads until the peer closes; closes `fd`.
+std::string exchange(int fd, const std::string& frames) {
+  std::string out;
+  if (fd < 0) return out;
+  if (send_all(fd, frames)) {
+    char buf[4096];
+    ssize_t n = 0;
+    while ((n = ::read(fd, buf, sizeof(buf))) > 0) out.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return out;
+}
+
+// One sample from a metrics frame's JSON-escaped exposition body: `series`
+// is the name plus labels as exposed (label quotes arrive escaped).
+long sample(const std::string& metrics_reply, const std::string& series) {
+  const std::string tag = "\\n" + series + " ";
+  const auto at = metrics_reply.find(tag);
+  if (at == std::string::npos) return -1;
+  return std::atol(metrics_reply.c_str() + at + tag.size());
+}
+
+std::vector<std::string> response_lines(const std::string& out) {
+  std::vector<std::string> lines;
+  std::istringstream stream(out);
+  std::string line;
+  while (std::getline(stream, line)) lines.push_back(line);
+  return lines;
+}
+
+// A Router over backends spawned from the CLI binary, its event loop on a
+// thread serving a unix socket. BISCHED_FAULT (when `fault` is non-null) is
+// set only while the backends spawn, so a respawned backend comes up clean.
+class LiveRouter {
+ public:
+  LiveRouter(RouterOptions options, const char* fault, const std::string& name) {
+    options.cli_path = BISCHED_CLI_PATH;
+    options.serve_args = {"--stable", "--threads=2"};
+    if (fault != nullptr) ::setenv("BISCHED_FAULT", fault, 1);
+    router_ = std::make_unique<Router>(options, &error_);
+    ::unsetenv("BISCHED_FAULT");
+    if (!router_->ok()) return;
+    socket_ = (fs::temp_directory_path() / (name + ".sock")).string();
+    listener_ = engine::UnixListener::open(socket_, &error_);
+    if (listener_ == nullptr) return;
+    loop_ = std::thread([this] { router_->run(*listener_); });
+  }
+  LiveRouter(const LiveRouter&) = delete;
+  LiveRouter& operator=(const LiveRouter&) = delete;
+  ~LiveRouter() {
+    if (loop_.joinable()) {
+      exchange(connect(), "shutdown\n");
+      loop_.join();
+    }
+  }
+  bool ok() const { return loop_.joinable(); }
+  const std::string& error() const { return error_; }
+  Router& router() { return *router_; }
+  int connect() const {
+    std::string error;
+    return engine::unix_connect(socket_, &error);
+  }
+  std::string router_metrics() const { return exchange(connect(), "metrics\nquit\n"); }
+  std::string router_stats() const { return exchange(connect(), "stats\nquit\n"); }
+  std::string backend_metrics(std::size_t i) {
+    std::string error;
+    const int port = router_->supervisor().port(i);
+    return exchange(engine::tcp_connect("127.0.0.1", port, &error), "metrics\nquit\n");
+  }
+
+ private:
+  std::string error_;
+  std::unique_ptr<Router> router_;
+  std::string socket_;
+  std::unique_ptr<engine::UnixListener> listener_;
+  std::thread loop_;
+};
+
+std::string inline_frame(const std::string& id, const UniformInstance& inst) {
+  std::ostringstream text;
+  write_instance(text, inst);
+  std::string body;
+  for (const char c : text.str()) body += c == '\n' ? std::string("\\n") : std::string(1, c);
+  return "{\"id\": \"" + id + "\", \"instance\": \"" + body + "\"}\n";
+}
+
+// `count` distinct instances whose hash-ring home (over 2 backends) is
+// `home`, or any home when `home` < 0.
+std::vector<UniformInstance> homed_instances(int count, int home, std::uint64_t seed) {
+  const HashRing ring(2);
+  Rng rng(seed);
+  std::vector<UniformInstance> out;
+  std::set<std::uint64_t> seen;
+  for (int guard = 0; static_cast<int>(out.size()) < count && guard < 100000; ++guard) {
+    auto inst = testing::random_uniform_instance(4, 4, 2, 5, 3, rng);
+    const std::uint64_t hash = instance_hash(inst);
+    if (home >= 0 && ring.owner(hash) != static_cast<std::size_t>(home)) continue;
+    if (!seen.insert(hash).second) continue;
+    out.push_back(std::move(inst));
+  }
+  return out;
+}
+
+// Every response line is ok and they come back in send order (ids p0, p1...).
+void expect_ok_in_order(const std::string& out, int count, const std::string& prefix) {
+  const auto lines = response_lines(out);
+  ASSERT_EQ(lines.size(), static_cast<std::size_t>(count)) << out;
+  for (int i = 0; i < count; ++i) {
+    EXPECT_NE(lines[i].find("\"id\": \"" + prefix + std::to_string(i) + "\""),
+              std::string::npos)
+        << lines[i];
+    EXPECT_NE(lines[i].find("\"status\": \"ok\""), std::string::npos) << lines[i];
+  }
+}
+
+TEST(FleetLinks, BackendSessionsCountLinksNotRequests) {
+  LiveRouter live(RouterOptions{}, nullptr, "bisched_fleet_links");
+  ASSERT_TRUE(live.ok()) << live.error();
+
+  // 200 solves (100 distinct instances, each sent twice) over 2 pipelining
+  // client connections.
+  const auto instances = homed_instances(100, -1, 91);
+  ASSERT_EQ(instances.size(), 100u);
+  std::string outs[2];
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      std::string frames;
+      for (int i = 0; i < 100; ++i) {
+        frames += inline_frame("c" + std::to_string(c) + "-" + std::to_string(i),
+                               instances[static_cast<std::size_t>((i + 50 * c) % 100)]);
+      }
+      outs[c] = exchange(live.connect(), frames + "quit\n");
+    });
+  }
+  for (auto& t : clients) t.join();
+  for (int c = 0; c < 2; ++c) expect_ok_in_order(outs[c], 100, "c" + std::to_string(c) + "-");
+
+  // Let one health-probe round land so every link the router opened has
+  // been accepted (and answered) by its backend.
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  const std::string fleet = live.router_metrics();
+  EXPECT_EQ(sample(fleet, "bisched_fleet_requests_total{status=\\\"ok\\\"}"), 200) << fleet;
+  long links_total = 0;
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::string label = "{backend=\\\"" + std::to_string(i) + "\\\"}";
+    const long links = sample(fleet, "bisched_fleet_link_opens_total" + label);
+    // At most the solve links plus the probe link, never one per request.
+    EXPECT_GE(links, 1) << fleet;
+    EXPECT_LE(links, 3) << fleet;
+    links_total += links;
+    // The backend's own count: one session per link, plus this scrape's.
+    const std::string backend = live.backend_metrics(i);
+    EXPECT_EQ(sample(backend, "bisched_serve_sessions_total"), links + 1) << backend;
+  }
+  EXPECT_LE(links_total, 6);
+}
+
+TEST(FleetLinks, DroppedLinkFailsOverPipelinedFramesInOrder) {
+  RouterOptions options;
+  options.fleet = 2;
+  LiveRouter live(options, "backend=0;drop-after:3", "bisched_fleet_drop");
+  ASSERT_TRUE(live.ok()) << live.error();
+
+  const auto instances = homed_instances(16, 0, 17);
+  ASSERT_EQ(instances.size(), 16u);
+  std::string frames;
+  for (int i = 0; i < 16; ++i) frames += inline_frame("d" + std::to_string(i), instances[i]);
+  const std::string out = exchange(live.connect(), frames + "quit\n");
+  expect_ok_in_order(out, 16, "d");
+
+  const std::string stats = live.router_stats();
+  EXPECT_GE(json_long(stats, "\"retries\": "), 1) << stats;
+  EXPECT_EQ(json_long(stats, "\"degraded\": "), 0) << stats;
+  EXPECT_EQ(json_long(stats, "\"ok\": "), 16) << stats;
+}
+
+TEST(FleetLinks, StalledHomeTimesOutAndFailsOver) {
+  RouterOptions options;
+  options.fleet = 2;
+  options.attempt_timeout_ms = 100;
+  LiveRouter live(options, "backend=0;stall-ms:500", "bisched_fleet_stall");
+  ASSERT_TRUE(live.ok()) << live.error();
+
+  const auto instances = homed_instances(4, 0, 29);
+  ASSERT_EQ(instances.size(), 4u);
+  std::string frames;
+  for (int i = 0; i < 4; ++i) frames += inline_frame("t" + std::to_string(i), instances[i]);
+  const std::string out = exchange(live.connect(), frames + "quit\n");
+  expect_ok_in_order(out, 4, "t");
+
+  const std::string stats = live.router_stats();
+  EXPECT_GE(json_long(stats, "\"retries\": "), 1) << stats;
+  EXPECT_GE(json_long(stats, "\"failovers\": "), 1) << stats;
+  EXPECT_EQ(json_long(stats, "\"degraded\": "), 0) << stats;
+}
+
+TEST(FleetLinks, RespawnedHomeServesItsSliceAgain) {
+  RouterOptions options;
+  options.fleet = 2;
+  LiveRouter live(options, "backend=0;crash-after:2", "bisched_fleet_respawn");
+  ASSERT_TRUE(live.ok()) << live.error();
+  Router& router = live.router();
+  const std::uint64_t generation = router.supervisor().generation(0);
+
+  const auto instances = homed_instances(6, 0, 43);
+  ASSERT_EQ(instances.size(), 6u);
+  // Lockstep, one connection each: two answers from backend 0, then the
+  // third solve crashes it and fails over to backend 1.
+  for (int i = 0; i < 3; ++i) {
+    const std::string out = exchange(live.connect(), inline_frame("r" + std::to_string(i),
+                                                                 instances[i]) + "quit\n");
+    EXPECT_NE(out.find("\"status\": \"ok\""), std::string::npos) << out;
+  }
+  const long outage_failovers = json_long(live.router_stats(), "\"failovers\": ");
+  EXPECT_GE(outage_failovers, 1);
+
+  // Wait out the respawn: a new generation, running and probed healthy.
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (std::chrono::steady_clock::now() < give_up &&
+         (router.supervisor().generation(0) == generation ||
+          json_long(live.router_stats(), "\"healthy\": ") != 2)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  ASSERT_NE(router.supervisor().generation(0), generation);
+
+  for (int i = 3; i < 6; ++i) {
+    const std::string out = exchange(live.connect(), inline_frame("r" + std::to_string(i),
+                                                                 instances[i]) + "quit\n");
+    EXPECT_NE(out.find("\"status\": \"ok\""), std::string::npos) << out;
+  }
+  const std::string stats = live.router_stats();
+  EXPECT_EQ(json_long(stats, "\"failovers\": "), outage_failovers) << stats;
+  EXPECT_EQ(json_long(stats, "\"degraded\": "), 0) << stats;
+  EXPECT_GE(json_long(stats, "\"respawns\": "), 1) << stats;
+  // The new backend 0 answered its slice itself.
+  EXPECT_EQ(sample(live.backend_metrics(0),
+                   "bisched_serve_frames_total{type=\\\"solve\\\"}"),
+            3);
 }
 
 #endif  // BISCHED_CLI_PATH

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -462,6 +464,29 @@ TEST(ServeTcp, LoopbackListenerServesAndPublicBindsNeedAllowRemote) {
   // ...and allowed only with the explicit opt-in.
   auto exposed = engine::TcpListener::open("0.0.0.0", 0, /*allow_remote=*/true, &error);
   EXPECT_NE(exposed, nullptr) << error;
+}
+
+// Nagle off on both ends: a pipelining peer (`client --pipeline`, the
+// router's backend links) writes small frames back to back, and with Nagle
+// on the second one waits for the first one's ACK.
+TEST(ServeTcp, BothEndsOfATcpPairDisableNagle) {
+  std::string error;
+  auto listener = engine::TcpListener::open("127.0.0.1", /*port=*/0,
+                                            /*allow_remote=*/false, &error);
+  ASSERT_NE(listener, nullptr) << error;
+  const int client = engine::tcp_connect("127.0.0.1", listener->port(), &error);
+  ASSERT_GE(client, 0) << error;
+  auto server = listener->accept(/*poll_ms=*/5000);
+  ASSERT_NE(server, nullptr);
+  const auto nodelay = [](int fd) {
+    int value = 0;
+    socklen_t len = sizeof(value);
+    EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+    return value != 0;
+  };
+  EXPECT_TRUE(nodelay(client));
+  EXPECT_TRUE(nodelay(server->fd()));
+  ::close(client);
 }
 
 // ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ int usage() {
       "               from $BISCHED_AUTH_TOKEN)\n"
       "  bisched_cli route [--fleet=N] [--store=DIR] [--alg=NAME|auto] [--eps=E]\n"
       "              [--stable] [--threads=N] (per-backend solve threads)\n"
-      "              [--route-threads=N] [--max-inflight=K] [--deadline-ms=MS]\n"
+      "              [--max-inflight=K] [--deadline-ms=MS]\n"
       "              [--timeout-ms=MS] (per-attempt backend read deadline)\n"
       "              [--health-ms=MS] [--listen=unix:PATH | tcp:HOST:PORT]\n"
       "              (supervised local serve fleet behind one routing\n"
@@ -632,12 +632,6 @@ int cmd_route(int argc, char** argv) {
   }
   if (flag_present(argc, argv, "stable")) options.serve_args.push_back("--stable");
 
-  const std::int64_t route_threads = flag_int(argc, argv, "route-threads", 0);
-  if (route_threads < 0 || route_threads > 4096) {
-    flag_error("route-threads", std::to_string(route_threads),
-               "a count in [0, 4096]");
-  }
-  options.threads = static_cast<unsigned>(route_threads);
   const std::int64_t inflight = flag_int(argc, argv, "max-inflight", 0);
   if (inflight < 0 || inflight > 1 << 20) {
     flag_error("max-inflight", std::to_string(inflight), "a count in [0, 2^20]");
@@ -681,7 +675,7 @@ int cmd_route(int argc, char** argv) {
               << options.fleet << " backends)\n";
     stats = engine::fleet::route_listener(options, *listener, &error);
   } else {
-    stats = engine::fleet::route_stdio(options, std::cin, std::cout, &error);
+    stats = engine::fleet::route_stdio(options, STDIN_FILENO, STDOUT_FILENO, &error);
   }
   if (!error.empty()) {
     std::cerr << "route: " << error << "\n";

@@ -322,7 +322,7 @@ grep -q 'allow-remote' "$SMOKE/tcp-refuse.log" || {
   printf 'metrics fleet-metrics\n'
   printf 'quit\n'
 } | BISCHED_FAULT='backend=0;crash-after:1' \
-  "$CLI" route --fleet=2 --stable --route-threads=1 --max-inflight=1 \
+  "$CLI" route --fleet=2 --stable --max-inflight=1 \
   --deadline-ms=60000 > "$SMOKE/route.out" 2> "$SMOKE/route.log" || {
   echo "ci.sh: fleet smoke failed: route exited nonzero (client-visible errors)" >&2
   cat "$SMOKE/route.out" "$SMOKE/route.log" >&2
