@@ -3,12 +3,11 @@
 // Two claims are on trial. First, the classic one: a resident serve process
 // amortizes everything but the solve itself — one registry, one pool, probe +
 // result caches — so a warm pass over the same corpus is pure lookups (the
-// cold/warm table, in-process over iostreams). Second, the async core's
-// claim: sessions are cheap heap state on one epoll loop, so THOUSANDS of
-// open connections cost the server almost nothing — an active request mix
+// cold/warm table, in-process stdio serve over temp files). Second, the event
+// loop's claim: sessions are cheap heap state on one epoll loop, so THOUSANDS
+// of open connections cost the server almost nothing — an active request mix
 // pushed through 10 / 1,000 / 10,000 idle connections holds its req/s and
-// latency, and beats the thread-per-client baseline (the acceptance bar for
-// the readiness-loop rewrite).
+// latency.
 //
 // The open-connections axis runs a real unix-socket server (the same
 // serve_unix the CLI runs), parks N idle connections on it, then drives an
@@ -44,6 +43,7 @@
 #include "io/format.hpp"
 #include "random/generators.hpp"
 #include "random/gilbert.hpp"
+#include "stdio_serve.hpp"
 #include "util/prng.hpp"
 
 namespace bisched {
@@ -69,13 +69,11 @@ std::string build_request_stream(int count, int n_half, std::uint64_t seed) {
 
 double run_pass(const std::string& requests, unsigned threads, engine::WarmState& warm,
                 std::uint64_t* answered) {
-  std::istringstream in(requests);
-  std::ostringstream sink;
   engine::ServeOptions options;
   options.threads = threads;
+  std::string sink;
   Timer timer;
-  const auto stats =
-      engine::serve(engine::SolverRegistry::builtin(), in, sink, options, &warm);
+  const auto stats = testing::serve_text(requests, options, &sink, &warm);
   const double seconds = timer.seconds();
   *answered = stats.ok;
   return seconds;
@@ -165,12 +163,11 @@ struct AxisPoint {
   bool ok = false;
 };
 
-// One axis point: a serve_unix server on `core`, `idle` parked connections,
-// then `clients` active loops of `per_client` solves each, keeping up to
-// `window` requests in flight per connection (1 = classic request-response;
-// >1 exercises pipelining, the async core's native mode).
-AxisPoint run_axis_point(engine::ServeOptions::Core core, std::size_t idle,
-                         int clients, int per_client, int window,
+// One axis point: a serve_unix server, `idle` parked connections, then
+// `clients` active loops of `per_client` solves each, keeping up to `window`
+// requests in flight per connection (1 = classic request-response; >1
+// exercises pipelining).
+AxisPoint run_axis_point(std::size_t idle, int clients, int per_client, int window,
                          const std::string& text) {
   AxisPoint point;
   const auto dir = fs::temp_directory_path() / "bisched_bench_serve_axis";
@@ -182,7 +179,6 @@ AxisPoint run_axis_point(engine::ServeOptions::Core core, std::size_t idle,
   engine::ServeOptions options;
   options.threads = 2;  // the solver pool; solves here are cache-sized
   options.stable_output = true;
-  options.core = core;
   engine::ServeStats stats;
   std::string serve_error;
   std::thread server([&] {
@@ -205,7 +201,7 @@ AxisPoint run_axis_point(engine::ServeOptions::Core core, std::size_t idle,
     workers.emplace_back([&, c] {
       const int fd = connect_retry(socket_path);
       if (fd < 0) return;
-      engine::FdTransport transport(fd, "bench");
+      engine::FdTransport transport(fd);
       auto& mine = latencies[static_cast<std::size_t>(c)];
       mine.reserve(static_cast<std::size_t>(per_client));
       std::vector<std::chrono::steady_clock::time_point> sent_at(
@@ -221,8 +217,7 @@ AxisPoint run_axis_point(engine::ServeOptions::Core core, std::size_t idle,
         }
         transport.out().flush();
         if (!std::getline(transport.in(), line)) break;
-        // FIFO attribution: exact for the async core (per-session response
-        // ordering), approximate for the blocking baseline under windows > 1.
+        // FIFO attribution: exact, responses leave in per-session send order.
         const auto end = std::chrono::steady_clock::now();
         mine.push_back(std::chrono::duration<double, std::milli>(
                            end - sent_at[static_cast<std::size_t>(got)])
@@ -260,7 +255,7 @@ AxisPoint run_axis_point(engine::ServeOptions::Core core, std::size_t idle,
 
 void open_connections_table(bool quick, bench::JsonReport& report) {
   // The active mix is deliberately light (cache-warm solves): the axis
-  // measures the SERVING core's cost per connection, not the solver.
+  // measures the serve loop's cost per connection, not the solver.
   Rng rng(bench::kBenchSeed);
   Graph g = gilbert_bipartite(10, 0.2, rng);
   std::vector<std::int64_t> speeds{3, 2, 1};
@@ -281,64 +276,25 @@ void open_connections_table(bool quick, bench::JsonReport& report) {
   axis.erase(std::unique(axis.begin(), axis.end()), axis.end());
 
   TextTable t("open connections: active mix through N idle sessions (4 clients)");
-  t.set_header({"core", "idle conns", "window", "requests", "req/s", "p50 ms",
-                "p95 ms"});
-  const auto emit = [&](const char* core, std::size_t idle, int window,
-                        const AxisPoint& p) {
-    t.add_row({core, fmt_count(static_cast<long long>(idle)), fmt_count(window),
-               fmt_count(static_cast<long long>(p.requests)),
-               fmt_count(static_cast<long long>(p.req_per_s)),
-               fmt_ratio(p.p50_ms), fmt_ratio(p.p95_ms)});
-    report.add({{"bench_case", "serve_open_connections"},
-                {"core", core},
-                {"idle_connections", static_cast<long long>(idle)},
-                {"window", window},
-                {"requests", p.requests},
-                {"req_per_s", p.req_per_s},
-                {"p50_ms", p.p50_ms},
-                {"p95_ms", p.p95_ms},
-                {"complete", p.ok}});
-  };
-
-  // The acceptance baseline: thread-per-client at the smallest axis point,
-  // in both modes (the blocking core also accepts pipelined input; it just
-  // cannot host thousands of such sessions).
-  AxisPoint baseline_pipe;
-  double async_pipe_at_front = 0;
-  for (const int window : {1, kPipelineWindow}) {
-    const AxisPoint p = run_axis_point(engine::ServeOptions::Core::kThreads,
-                                       axis.front(), clients, per_client, window,
-                                       text);
-    emit("threads", axis.front(), window, p);
-    if (window == kPipelineWindow) baseline_pipe = p;
-  }
+  t.set_header({"idle conns", "window", "requests", "req/s", "p50 ms", "p95 ms"});
   for (const std::size_t idle : axis) {
     for (const int window : {1, kPipelineWindow}) {
-      const AxisPoint p = run_axis_point(engine::ServeOptions::Core::kAsync, idle,
-                                         clients, per_client, window, text);
-      emit("async", idle, window, p);
-      if (idle == axis.front() && window == kPipelineWindow) {
-        async_pipe_at_front = p.req_per_s;
-      }
+      const AxisPoint p = run_axis_point(idle, clients, per_client, window, text);
+      t.add_row({fmt_count(static_cast<long long>(idle)), fmt_count(window),
+                 fmt_count(static_cast<long long>(p.requests)),
+                 fmt_count(static_cast<long long>(p.req_per_s)), fmt_ratio(p.p50_ms),
+                 fmt_ratio(p.p95_ms)});
+      report.add({{"bench_case", "serve_open_connections"},
+                  {"idle_connections", static_cast<long long>(idle)},
+                  {"window", window},
+                  {"requests", p.requests},
+                  {"req_per_s", p.req_per_s},
+                  {"p50_ms", p.p50_ms},
+                  {"p95_ms", p.p95_ms},
+                  {"complete", p.ok}});
     }
   }
   t.print(std::cout);
-  std::cout << "async vs thread-per-client (pipelined x" << kPipelineWindow
-            << ", " << axis.front()
-            << " idle conns): " << static_cast<long long>(async_pipe_at_front)
-            << " vs " << static_cast<long long>(baseline_pipe.req_per_s)
-            << " req/s ("
-            << fmt_ratio(baseline_pipe.req_per_s > 0
-                             ? async_pipe_at_front / baseline_pipe.req_per_s
-                             : 0)
-            << "x)\n";
-  report.add({{"bench_case", "serve_async_vs_threads"},
-              {"window", kPipelineWindow},
-              {"async_req_per_s", async_pipe_at_front},
-              {"threads_req_per_s", baseline_pipe.req_per_s},
-              {"ratio", baseline_pipe.req_per_s > 0
-                            ? async_pipe_at_front / baseline_pipe.req_per_s
-                            : 0.0}});
 }
 
 }  // namespace
@@ -350,8 +306,8 @@ int main(int argc, char** argv) {
   const bool quick = bench::parse_switch(argc, argv, "quick");
   bench::banner("SERVE — streaming request-loop throughput",
                 "A resident serve process answers repeated traffic without "
-                "re-probing or re-solving; the async core holds its req/s "
-                "with thousands of idle connections parked on the loop");
+                "re-probing or re-solving; the event loop holds its req/s "
+                "with thousands of idle connections parked on it");
   std::cout << "threads (wide rows): " << threads << "\n";
   bench::JsonReport report("serve", argc, argv);
   throughput_table(threads, report);

@@ -1,9 +1,7 @@
 #include "engine/fleet/router.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -16,7 +14,6 @@
 #include <deque>
 #include <fstream>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "engine/serve.hpp"
@@ -135,72 +132,6 @@ std::string self_exe_path() {
   if (n <= 0) return "";
   buf[n] = '\0';
   return std::string(buf);
-}
-
-void write_all(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return;  // stdout gone: the answers have nowhere to go
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-}
-
-// Bridges the stdio fds to `sock`, the peer of the loop's one stdio session:
-// stdin bytes go in, response bytes come out. A thread with poll() rather
-// than the loop itself, because a regular-file stdin cannot be registered
-// with epoll. Returns once the loop closes the session.
-void pump_stdio(int in_fd, int out_fd, int sock) {
-  const int flags = ::fcntl(sock, F_GETFL, 0);
-  ::fcntl(sock, F_SETFL, flags | O_NONBLOCK);
-  std::string pending;  // stdin bytes not yet accepted by the socket
-  std::size_t off = 0;
-  bool in_open = true;
-  bool write_shut = false;
-  char buf[1 << 16];
-  while (true) {
-    if (!in_open && off == pending.size() && !write_shut) {
-      ::shutdown(sock, SHUT_WR);  // the session reads EOF after the last frame
-      write_shut = true;
-    }
-    pollfd fds[2] = {{sock, POLLIN, 0}, {in_fd, POLLIN, 0}};
-    if (off < pending.size()) fds[0].events |= POLLOUT;
-    const nfds_t count = in_open && off == pending.size() ? 2 : 1;
-    if (::poll(fds, count, -1) < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if ((fds[0].revents & POLLOUT) != 0) {
-      const ssize_t n = ::write(sock, pending.data() + off, pending.size() - off);
-      if (n > 0) {
-        off += static_cast<std::size_t>(n);
-      } else if (n < 0 && errno != EAGAIN && errno != EINTR) {
-        in_open = false;  // the session is gone; drop the rest of stdin
-        off = pending.size();
-      }
-    }
-    if (off == pending.size()) {
-      pending.clear();
-      off = 0;
-    }
-    if (count == 2 && (fds[1].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-      const ssize_t n = ::read(in_fd, buf, sizeof(buf));
-      if (n > 0) {
-        pending.assign(buf, static_cast<std::size_t>(n));
-      } else if (n == 0 || (errno != EINTR && errno != EAGAIN)) {
-        in_open = false;
-      }
-    }
-    if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-      const ssize_t n = ::read(sock, buf, sizeof(buf));
-      if (n > 0) {
-        write_all(out_fd, buf, static_cast<std::size_t>(n));
-      } else if (n == 0 || (errno != EAGAIN && errno != EINTR)) {
-        return;
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -332,21 +263,18 @@ Router::~Router() {
 
 bool Router::run(Listener& listener) {
   EventLoop loop(*this, &listener);
-  return run(loop);
+  return loop.run();
 }
 
-bool Router::run(int fd) {
+bool Router::run_stdio(int in_fd, int out_fd, std::string* error) {
   EventLoop loop(*this, nullptr);
-  loop.adopt(fd);
-  return run(loop);
+  return loop.run_stdio(in_fd, out_fd, error);
 }
 
 // The links live on the loop's epoll: close them before the loop goes.
-bool Router::run(EventLoop& loop) {
-  const bool ok = loop.run();
+void Router::quiesce() {
   while (!links_.empty()) close_link(*links_.begin()->second);
   loop_ = nullptr;
-  return ok;
 }
 
 // ------------------------------------------------------------ dispatching ---
@@ -891,17 +819,7 @@ RouterStats route_stdio(const RouterOptions& options, int in_fd, int out_fd,
                         std::string* error) {
   Router router(options, error);
   if (!router.ok()) return {};
-  int pair[2] = {-1, -1};
-  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, pair) != 0) {
-    if (error != nullptr) *error = std::string("socketpair: ") + std::strerror(errno);
-    return {};
-  }
-  std::thread pump([&] {
-    pump_stdio(in_fd, out_fd, pair[1]);
-    ::close(pair[1]);
-  });
-  router.run(pair[0]);
-  pump.join();
+  router.run_stdio(in_fd, out_fd, error);
   return router.stats();
 }
 

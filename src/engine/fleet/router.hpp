@@ -1,8 +1,9 @@
 // The fleet router: one front-end over N supervised backend serve processes.
 //
 // `bisched_cli route` speaks the exact serve frame grammar (engine/serve.hpp
-// — the two share parse_frame), so a client cannot tell a router from a
-// single server; what changes is what stands behind the socket:
+// — the two share the event loop's framing and classify_frame), so a client
+// cannot tell a router from a single server; what changes is what stands
+// behind the socket:
 //
 //   placement   every solve is keyed by the instance content hash and routed
 //               over a consistent-hash ring (hash_ring.hpp), so one
@@ -109,9 +110,9 @@ class Router final : public Dispatcher {
   // Runs the event loop over `listener` until a `shutdown` frame or SIGTERM.
   // False = the listener failed.
   bool run(Listener& listener);
-  // Runs the event loop over one session on the connected `fd` (owned from
-  // here on) until that session ends.
-  bool run(int fd);
+  // Runs the event loop over one session bridged to the stdio fds until
+  // that session ends (EventLoop::run_stdio).
+  bool run_stdio(int in_fd, int out_fd, std::string* error);
 
   bool shutdown_requested() const override { return shutdown_.load(); }
 
@@ -125,8 +126,6 @@ class Router final : public Dispatcher {
   struct Link;
   struct Routed;
 
-  bool run(EventLoop& loop);
-
   // The event loop's dispatcher seam.
   Policy policy() const override { return {}; }
   bool admit(const Frame& frame, std::int64_t* seq) override;
@@ -138,6 +137,7 @@ class Router final : public Dispatcher {
   void on_ready(std::uint64_t tag, std::uint32_t events) override;
   int tick(Clock::time_point now) override;
   void request_shutdown() override { shutdown_.store(true); }
+  void quiesce() override;
 
   // Request path: pick the next candidate and queue an attempt on one of its
   // links, or back off / degrade once every candidate failed this pass.

@@ -7,7 +7,6 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,19 +21,9 @@ namespace bisched::engine {
 
 namespace {
 
-// How often a listener loop pushes the warm state's journal appends to the
+// How often the serve loop pushes the warm state's journal appends to the
 // OS: a crash costs at most this much recent warmth.
 constexpr std::chrono::seconds kStoreFlushInterval(5);
-
-// Strips every character istream extraction also treats as whitespace
-// (\v and \f included), so a whitespace-only line is always classified as a
-// blank frame here and can never reach split_words as an empty word list.
-std::string trimmed(const std::string& line) {
-  const auto start = line.find_first_not_of(" \t\r\v\f");
-  if (start == std::string::npos) return "";
-  const auto end = line.find_last_not_of(" \t\r\v\f");
-  return line.substr(start, end - start + 1);
-}
 
 // Splits "solve PATH [ID]" / "instance [ID]" style frames on whitespace.
 std::vector<std::string> split_words(const std::string& line) {
@@ -60,31 +49,7 @@ double hit_rate(std::uint64_t memory_hits, std::uint64_t disk_hits,
   return static_cast<double>(memory_hits + disk_hits) / static_cast<double>(total);
 }
 
-// SIGTERM = graceful drain for any accept loop in this process: stop
-// accepting, interrupt idle sessions, finish in-flight work, flush. The
-// supervisor stops fleet backends this way.
-std::atomic<bool> g_drain{false};
-void drain_handler(int) { g_drain.store(true); }
-
 }  // namespace
-
-namespace detail {
-
-// Constant-time token comparison: the loop shape depends only on the
-// lengths, never on where the strings first differ, so response timing
-// cannot be used to guess a remote token byte by byte.
-bool token_equal(const std::string& a, const std::string& b) {
-  const std::size_t n = std::max(a.size(), b.size());
-  unsigned diff = static_cast<unsigned>(a.size() ^ b.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const unsigned char ca = i < a.size() ? static_cast<unsigned char>(a[i]) : 0;
-    const unsigned char cb = i < b.size() ? static_cast<unsigned char>(b[i]) : 0;
-    diff |= static_cast<unsigned>(ca ^ cb);
-  }
-  return diff == 0;
-}
-
-}  // namespace detail
 
 Frame classify_frame(const std::string& frame, bool* needs_body) {
   Frame out;
@@ -123,10 +88,9 @@ Frame classify_frame(const std::string& frame, bool* needs_body) {
       }
     } else if (words[0] == "instance") {
       // The native text follows the header: the caller owns consuming the
-      // body (parse_frame reads it off the live stream below; the async
-      // core scans it incrementally from its read buffer). A header with a
-      // malformed id list still gets *needs_body — the body must be
-      // consumed either way, or its lines would be misread as frames.
+      // body (the event loop scans it incrementally from its read buffer).
+      // A header with a malformed id list still gets *needs_body — the body
+      // must be consumed either way, or its lines would be misread as frames.
       if (words.size() == 2) out.req.id = words[1];
       if (words.size() > 2) out.bad = "bad request: instance takes at most one id";
       *needs_body = true;
@@ -160,39 +124,12 @@ Frame classify_frame(const std::string& frame, bool* needs_body) {
   return out;
 }
 
-Frame parse_frame(const std::string& frame, std::istream& in) {
-  bool needs_body = false;
-  Frame out = classify_frame(frame, &needs_body);
-  if (needs_body) {
-    // The parser consumes exactly one well-formed instance; on a parse
-    // error it stops mid-stream, so the damage is contained by discarding
-    // input up to the next blank line (instance bodies contain none).
-    auto parsed = std::make_shared<ParsedInstance>(parse_instance(in));
-    if (!parsed->ok()) {
-      std::string skip;
-      while (std::getline(in, skip) && !trimmed(skip).empty()) {
-      }
-    }
-    if (out.bad.empty()) out.req.parsed = std::move(parsed);
-  }
-  return out;
-}
-
-// Per-client state: the response stream lock and this session's share of the
-// in-flight count (so `quit`/EOF drains one client without waiting on the
-// others').
-struct Server::SessionState {
-  std::mutex out_mu;
-  std::size_t inflight = 0;
-};
-
 Server::Server(const SolverRegistry& registry, const ServeOptions& options,
                WarmState* warm)
     : registry_(registry), options_(options), warm_(warm) {
   // A peer that disconnects mid-response must surface as a write error on
-  // that one session, never as SIGPIPE killing the process. Set here (not
-  // just in the listener loop) so stdio serve and in-process embedders get
-  // the same guarantee.
+  // that one session, never as SIGPIPE killing the process — for sockets,
+  // stdio and in-process embedders alike.
   ::signal(SIGPIPE, SIG_IGN);
   if (warm_ == nullptr) {
     owned_warm_ = std::make_unique<WarmState>();
@@ -375,154 +312,6 @@ Server::RenderedResponse Server::execute_and_render(const Request& pending) {
   return rendered;
 }
 
-void Server::answer(Transport& transport, SessionState& state,
-                    const Request& pending) {
-  const RenderedResponse rendered = execute_and_render(pending);
-  {
-    std::lock_guard<std::mutex> out_lock(state.out_mu);
-    transport.out() << rendered.line;
-    transport.out().flush();
-  }
-  // Only executed solves are slow-log candidates; malformed frames never
-  // reached the engine and have no timing to report.
-  if (rendered.executed) {
-    maybe_slow_log(rendered.response, rendered.elapsed_ms, rendered.trace);
-  }
-}
-
-// Admission control: the session thread blocks once max_inflight_ requests
-// are in the pool (across all sessions), so arbitrarily fast clients never
-// pile up closures.
-void Server::submit(Transport& transport, SessionState& state, Request pending) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return inflight_ < max_inflight_; });
-    ++inflight_;
-    ++state.inflight;
-    inflight_gauge_->set(static_cast<double>(inflight_));
-  }
-  pool_->submit([this, &transport, &state, pending = std::move(pending)] {
-    answer(transport, state, pending);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --inflight_;
-      --state.inflight;
-      inflight_gauge_->set(static_cast<double>(inflight_));
-    }
-    cv_.notify_all();
-  });
-}
-
-void Server::session(Transport& transport) {
-  sessions_total_->inc();
-  sessions_active_->add(1);
-  SessionState state;
-  bool authed = options_.auth_token.empty();
-  std::istream& in = transport.in();
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string text = trimmed(line);
-    if (text.empty() || text[0] == '#') continue;
-    Frame frame = parse_frame(text, in);
-    if (frame.kind == Frame::Kind::kQuit) break;
-    if (frame.kind == Frame::Kind::kShutdown) {
-      shutdown_.store(true);
-      break;
-    }
-
-    Request pending;
-    admit(frame, &pending.seq);
-    pending.req = std::move(frame.req);
-    pending.bad = std::move(frame.bad);
-    pending.stats = pending.bad.empty() && frame.kind == Frame::Kind::kStats;
-    pending.metrics = pending.bad.empty() && frame.kind == Frame::Kind::kMetrics;
-    if (pending.req.id.empty()) pending.req.id = "#" + std::to_string(pending.seq);
-
-    // The auth gate. A valid token flips the session to authed silently (the
-    // next frame's response is the ack — no response traffic to time); a bad
-    // token or any pre-auth frame is answered with an error and the session
-    // closes, so an unauthenticated peer gets exactly one line out of us.
-    if (pending.bad.empty() && frame.kind == Frame::Kind::kAuth) {
-      if (authed || detail::token_equal(frame.auth_token, options_.auth_token)) {
-        authed = true;  // re-auth / auth without a configured token: ignored
-        continue;
-      }
-      rejects_auth_->inc();
-      pending.bad = "auth failed: bad token";
-      answer(transport, state, pending);
-      break;
-    }
-    if (!authed) {
-      rejects_auth_->inc();
-      pending.bad = "auth required: present `auth TOKEN` as the first frame";
-      pending.stats = pending.metrics = false;
-      answer(transport, state, pending);
-      break;
-    }
-
-    // Fault injection (solve frames only; inert without BISCHED_FAULT):
-    // crash-after _exits inside the hook, drop-after ends the session with
-    // the response unsent — the client sees the connection die mid-request,
-    // which is exactly what the router's retry path must absorb.
-    if (pending.bad.empty() && !pending.stats && !pending.metrics &&
-        fault::on_solve_frame() == fault::Action::kDropConnection) {
-      transport.interrupt();
-      break;
-    }
-
-    // Introspection is answered inline: a stats/metrics probe must not queue
-    // behind the heavy solves it is there to observe. (One that failed
-    // validation — reserved id — takes the error path below instead.)
-    if ((pending.stats || pending.metrics) && pending.bad.empty()) {
-      // Snapshot first (the probe does not count itself as answered), count
-      // second (the same read-implies-counted order answer() follows),
-      // write last.
-      std::size_t session_inflight = 0;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        session_inflight = state.inflight;
-      }
-      const std::string frame_line =
-          pending.stats ? stats_frame_json(pending.req.id, pending.seq, session_inflight)
-                        : metrics_frame_json(pending.req.id, pending.seq);
-      responses_ok_->inc();
-      std::lock_guard<std::mutex> out_lock(state.out_mu);
-      transport.out() << frame_line;
-      transport.out().flush();
-      continue;
-    }
-
-    // Per-session quota: answered inline as a structured error — the frame
-    // is refused a pool slot, the session stays open, and the client can
-    // resubmit once its own in-flight work drains. (The global bound below
-    // stays backpressure: it delays admission rather than refusing it.)
-    if (pending.bad.empty() && options_.session_max_inflight > 0) {
-      bool over = false;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        over = state.inflight >= options_.session_max_inflight;
-      }
-      if (over) {
-        rejects_quota_->inc();
-        pending.bad = "over-quota: session already has " +
-                      std::to_string(options_.session_max_inflight) +
-                      " requests in flight";
-        answer(transport, state, pending);
-        continue;
-      }
-    }
-    submit(transport, state, std::move(pending));
-  }
-
-  // Drain THIS session's in-flight work before the caller may tear the
-  // transport down; concurrent sessions keep running on the shared pool.
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return state.inflight == 0; });
-  }
-  sessions_active_->add(-1);
-}
-
 Dispatcher::Policy Server::policy() const {
   Policy policy;
   policy.auth_token = options_.auth_token;
@@ -606,13 +395,13 @@ void Server::execute(Request request, Reply reply) {
       --inflight_;
       inflight_gauge_->set(static_cast<double>(inflight_));
     }
-    cv_.notify_all();
     reply.send(std::move(rendered.line));
   });
 }
 
-// Periodic warmth durability on the loop, as run_accept_loop's tick does it
-// for the blocking core.
+// Periodic warmth durability: push buffered journal appends to the OS (and
+// heartbeat the store's write lease), so a crash loses at most
+// kStoreFlushInterval of traffic. No-op for memory-only warm state.
 int Server::tick(Clock::time_point now) {
   if (now - last_flush_ >= kStoreFlushInterval) {
     last_flush_ = now;
@@ -642,112 +431,21 @@ ServeStats Server::stats() const {
   return stats;
 }
 
-ServeStats serve(const SolverRegistry& registry, std::istream& in, std::ostream& out,
-                 const ServeOptions& options, WarmState* warm) {
+ServeStats serve(const SolverRegistry& registry, int in_fd, int out_fd,
+                 const ServeOptions& options, std::string* error, WarmState* warm) {
   Server server(registry, options, warm);
-  IostreamTransport transport(in, out);
-  server.session(transport);
+  EventLoop loop(server, nullptr);
+  loop.run_stdio(in_fd, out_fd, error);
   server.warm().flush();
   return server.stats();
-}
-
-void run_accept_loop(Listener& listener, const std::function<void(Transport&)>& session,
-                     const std::function<bool()>& stop,
-                     const std::function<void()>& tick) {
-  // SIGTERM means graceful drain: the loop below observes the flag at its
-  // next poll tick, stops accepting, and falls through to the same
-  // interrupt-and-drain teardown a `shutdown` frame takes. (poll() is never
-  // restarted after a signal handler, so a pending accept wakes promptly.)
-  ::signal(SIGTERM, drain_handler);
-  g_drain.store(false);
-
-  // Session threads are detached and tracked by a live count, not collected
-  // in a vector: a long-lived server handling many short connections must
-  // not accumulate one joinable zombie thread per client ever served. The
-  // count (not the threads) is what shutdown waits on; the transport
-  // pointers are kept so shutdown can interrupt sessions whose clients are
-  // idle but still connected (a blocked getline would otherwise hold the
-  // server open forever).
-  std::mutex live_mu;
-  std::condition_variable live_cv;
-  std::size_t live_sessions = 0;
-  std::vector<Transport*> live_transports;
-  while (!stop() && !g_drain.load() && listener.ok()) {
-    auto client = listener.accept(/*poll_ms=*/200);
-    if (tick) tick();
-    if (client == nullptr) continue;
-    {
-      std::lock_guard<std::mutex> lock(live_mu);
-      ++live_sessions;
-      live_transports.push_back(client.get());
-    }
-    // The thread owns its transport: destroying it when the session drains
-    // closes the fd, which is the client's cue that its conversation is
-    // complete.
-    std::thread([&session, &live_mu, &live_cv, &live_sessions, &live_transports,
-                 client = std::move(client)]() mutable {
-      session(*client);
-      {
-        // Deregister before destroying: past this block the shutdown path
-        // can no longer reach the transport.
-        std::lock_guard<std::mutex> lock(live_mu);
-        std::erase(live_transports, client.get());
-      }
-      client.reset();
-      // Release the count only once teardown is complete (the caller — and
-      // the process — may proceed the moment it hits zero), and notify
-      // under the lock: the caller's locals (this cv included) may be
-      // destroyed as soon as the waiter sees zero.
-      std::lock_guard<std::mutex> lock(live_mu);
-      --live_sessions;
-      live_cv.notify_all();
-    }).detach();
-  }
-  {
-    // Force EOF on every still-connected session so shutdown means "drain
-    // in-flight work and stop", not "wait for every idle client to leave".
-    std::unique_lock<std::mutex> lock(live_mu);
-    for (Transport* transport : live_transports) transport->interrupt();
-    live_cv.wait(lock, [&] { return live_sessions == 0; });
-  }
 }
 
 ServeStats serve_listener(const SolverRegistry& registry, Listener& listener,
                           const ServeOptions& options, std::string* error,
                           WarmState* warm) {
-  // A client that disconnects mid-response must cost one session, not the
-  // process: without this, the first write into its dead socket raises
-  // SIGPIPE and kills the server. Ignored process-wide; the failed flush
-  // surfaces as a stream error and the session ends on the EOF that follows.
-  ::signal(SIGPIPE, SIG_IGN);
-
   Server server(registry, options, warm);
-  bool loop_ok = true;
-  if (options.core == ServeOptions::Core::kAsync && listener.fd() >= 0) {
-    // The epoll readiness core: sessions are heap state on one loop thread,
-    // the solver pool stays the only real compute pool. It owns the same
-    // periodic-flush / SIGTERM-drain duties the thread-per-client path has.
-    EventLoop loop(server, &listener);
-    loop_ok = loop.run();
-  } else {
-    auto last_flush = std::chrono::steady_clock::now();
-    run_accept_loop(
-        listener, [&server](Transport& transport) { server.session(transport); },
-        [&server] { return server.shutdown_requested(); },
-        [&server, &last_flush] {
-          // Periodic warmth durability: push buffered journal appends to the
-          // OS between accepts (and heartbeat the store's write lease), so a
-          // crash loses at most kStoreFlushInterval of traffic. No-op for
-          // memory-only warm state.
-          const auto now = std::chrono::steady_clock::now();
-          if (now - last_flush >= kStoreFlushInterval) {
-            server.warm().flush();
-            last_flush = now;
-          }
-        });
-  }
-  if ((!listener.ok() || !loop_ok) && !server.shutdown_requested() &&
-      error != nullptr) {
+  EventLoop loop(server, &listener);
+  if (!loop.run() && !server.shutdown_requested() && error != nullptr) {
     *error = "listener on '" + listener.endpoint() + "' failed";
   }
   server.warm().flush();

@@ -2,23 +2,23 @@
 //
 // The resident state — one registry, one WarmState (probe + result caches,
 // optionally disk-tiered behind a store directory), one thread pool — lives
-// in a transport-agnostic `Server`. A *session* is one client's framed
-// conversation over a `Transport` (engine/transport.hpp): `Server::session`
-// reads frames, decodes them through the engine/api v1 codec, fans the
-// solves across the shared pool under a global in-flight bound, and streams
-// each response back on that client's transport as it completes (one JSON
-// Lines object per request, flushed per line). Sessions may run
-// concurrently — every client is answered from the same warm state and
-// pool, so traffic from one client warms the next, and a persistent store
-// warms the next *process*.
+// in `Server`, the serve dispatcher of the epoll event loop
+// (engine/serve/event_loop.hpp). The loop owns every client session: it
+// frames requests, runs the auth and quota gates, answers stats/metrics
+// probes inline, and hands solve frames to the Server, whose pool decodes
+// them through the engine/api v1 codec and renders one JSON Lines response
+// each. Responses leave in each session's send order. Every client is
+// answered from the same warm state and pool, so traffic from one client
+// warms the next, and a persistent store warms the next *process*.
 //
-//   serve(...)           one session over borrowed iostreams — the classic
-//                        stdin/stdout framed loop, unchanged in behavior.
-//   serve_listener(...)  accept loop over any Listener: any number of
-//                        concurrent clients (one session thread each) until
-//                        a client sends `shutdown`. Periodically flushes
-//                        the warm state's journals, so a crash loses at
-//                        most the last interval.
+//   serve(...)           one session bridged to an in/out fd pair — the
+//                        stdin/stdout framed loop. It ends at EOF, `quit`,
+//                        `shutdown`, or SIGTERM (which drains in-flight
+//                        solves first).
+//   serve_listener(...)  any number of concurrent clients on a Listener
+//                        until a client sends `shutdown` or SIGTERM.
+//                        Periodically flushes the warm state's journals, so
+//                        a crash loses at most the last interval.
 //   serve_unix(...)      serve_listener over a unix-domain socket.
 //   serve_tcp(...)       serve_listener over an AF_INET/AF_INET6 socket
 //                        (loopback-only unless allow_remote; remote binds
@@ -32,8 +32,8 @@
 //                                            solve inline native-format text
 //   solve PATH [ID]                          plain-text form of the first
 //   instance [ID]                            native instance text follows
-//                                            directly on the stream (the
-//                                            parser consumes one instance)
+//                                            directly on the stream (one
+//                                            instance is consumed)
 //   auth TOKEN                               presents the session's auth
 //                                            token. Required as the first
 //                                            frame when the server was
@@ -79,9 +79,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -120,33 +118,20 @@ struct ServeOptions {
   // admission bound. 0 = no per-session quota (the global bound still
   // applies, exerted as backpressure).
   std::size_t session_max_inflight = 0;
-  // Which session engine a socket listener runs. kAsync is the epoll
-  // readiness loop (engine/serve/event_loop.hpp): a session is cheap heap
-  // state, requests pipeline within a connection, and admission is exerted
-  // by parking reads. kThreads is the legacy thread-per-client core, kept
-  // for the old-vs-new differential tests and as an escape hatch. Stdio
-  // serve always runs the blocking session loop — borrowed iostreams cannot
-  // be epoll'd.
-  enum class Core { kAsync, kThreads };
-  Core core = Core::kAsync;
-  // Async core only: a session that has completed no frame for this long is
-  // closed without a response (slowloris guard), counted as
+  // A session that has completed no frame for this long is closed without a
+  // response (slowloris guard), counted as
   // bisched_serve_rejects_total{reason="idle-timeout"}. 0 = never reap.
   int idle_timeout_ms = 0;
-  // Async core only: per-session pipelining bound — a session with this many
-  // solve frames in flight has its reads parked (pure backpressure; the
-  // frames are answered, unlike the `over-quota` refusal above) until
-  // completions drain. 0 = 64.
+  // Per-session pipelining bound — a session with this many solve frames in
+  // flight has its reads parked (pure backpressure; the frames are answered,
+  // unlike the `over-quota` refusal above) until completions drain. 0 = 64.
   std::size_t pipeline_depth = 0;
 };
 
 // One classified request frame — the grammar in the header comment above,
-// shared by the blocking session loop and the event loop (which fronts both
-// serve and the fleet router) so the front-ends cannot drift. The caller strips blank/comment lines first; a
-// native `instance` frame parses its body from `in` (on a body parse error
-// input is discarded up to the next blank line). A frame with a malformed
-// shape or a reserved `#<digits>` id comes back with `bad` set; the caller
-// answers it as an error response.
+// shared by serve and the fleet router through the event loop. A frame with
+// a malformed shape or a reserved `#<digits>` id comes back with `bad` set;
+// the caller answers it as an error response.
 struct Frame {
   enum class Kind { kSolve, kStats, kMetrics, kAuth, kQuit, kShutdown };
   Kind kind = Kind::kSolve;
@@ -155,19 +140,11 @@ struct Frame {
   std::string bad;         // nonempty: malformed — answer with this error
 };
 
-Frame parse_frame(const std::string& frame, std::istream& in);
-
-// The line-level half of parse_frame, with no stream access: a native
+// Classifies one trimmed, non-blank, non-comment frame line. A native
 // `instance` header comes back classified (id validated, kind kSolve) with
-// *needs_body set and req.parsed still empty — the async core scans the body
-// incrementally from its read buffer, where parse_frame consumes it from the
-// live stream on the spot. For every other frame the two are identical.
+// *needs_body set and req.parsed still empty: the event loop scans the body
+// incrementally from its read buffer and parses it once complete.
 Frame classify_frame(const std::string& frame, bool* needs_body);
-
-namespace detail {
-// Constant-time token comparison (timing-safe auth), shared by both cores.
-bool token_equal(const std::string& a, const std::string& b);
-}  // namespace detail
 
 struct ServeStats {
   // Admitted frames by type; `requests` is their sum (every frame admitted).
@@ -187,10 +164,9 @@ struct ServeStats {
   ResultCache::Stats results;
 };
 
-// The resident, transport-agnostic core. Construct once; run one session
-// per connected client (concurrently if desired); read stats() at the end.
-// It is also the event loop's dispatcher for socket serves: solve frames go
-// to its pool, and the loop's series land in its registry.
+// The resident core: the event loop's dispatcher for serve. Solve frames go
+// to its pool, and the loop's series land in its registry. Construct once,
+// run an EventLoop over it, read stats() at the end.
 class Server final : public Dispatcher {
  public:
   // `warm` may be shared (e.g. pre-warmed by a batch run, or carrying a
@@ -201,13 +177,7 @@ class Server final : public Dispatcher {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Runs one client session on `transport` until EOF, `quit`, or
-  // `shutdown`, then drains that session's in-flight requests before
-  // returning (other sessions' work is unaffected). Thread-safe: call
-  // concurrently with one transport per thread.
-  void session(Transport& transport);
-
-  // Set once a session consumes a `shutdown` frame; the accept loop polls it.
+  // Set once a session consumes a `shutdown` frame; the loop polls it.
   bool shutdown_requested() const override { return shutdown_.load(); }
 
   WarmState& warm() { return *warm_; }
@@ -221,8 +191,6 @@ class Server final : public Dispatcher {
   double uptime_seconds() const;
 
  private:
-  struct SessionState;
-
   // The event loop's dispatcher seam (engine/serve/event_loop.hpp). A native
   // `instance` body arrives parsed (req.parsed); file requests and inline
   // instance text defer their IO/parse work to the worker so the loop keeps
@@ -240,9 +208,7 @@ class Server final : public Dispatcher {
   void quiesce() override;
 
   // What execute_and_render hands back: the wire bytes plus the pre-strip
-  // timing/trace the slow log wants (the caller logs after the write, keeping
-  // the blocking core's write-then-log order; the async worker logs at
-  // completion time).
+  // timing/trace the slow log wants (the worker logs at completion time).
   struct RenderedResponse {
     std::string line;       // one JSON Lines response, '\n'-terminated
     SolveResponse response; // post-strip, for the slow-log line's fields
@@ -252,14 +218,11 @@ class Server final : public Dispatcher {
   };
 
   // Runs (or rejects) one pending frame and renders the response line. The
-  // ok/error response counter is bumped here, BEFORE the caller writes — a
+  // ok/error response counter is bumped here, BEFORE the loop writes — a
   // client that has read a response must find it reflected in the very next
-  // stats frame (the lockstep test pins this). Both cores answer through
-  // this one path so their bytes cannot drift.
+  // stats frame (the lockstep test pins this). Executed frames and refusals
+  // answer through this one path so their bytes cannot drift.
   RenderedResponse execute_and_render(const Request& pending);
-
-  void submit(Transport& transport, SessionState& state, Request pending);
-  void answer(Transport& transport, SessionState& state, const Request& pending);
   // Introspection frames, answered inline (no pool round trip):
   // `"type": "stats"` (flat counters) and `"type": "metrics"` (Prometheus
   // exposition in the "body" member).
@@ -280,7 +243,6 @@ class Server final : public Dispatcher {
   Clock::time_point last_flush_ = start_;  // the event loop's journal flushes
 
   mutable std::mutex mu_;  // guards the admission state below
-  std::condition_variable cv_;
   std::size_t inflight_ = 0;  // global admission bound across sessions
   std::atomic<std::int64_t> seq_{0};
 
@@ -301,8 +263,8 @@ class Server final : public Dispatcher {
   telemetry::Counter* sessions_total_ = nullptr;
   telemetry::Gauge* sessions_active_ = nullptr;
   telemetry::Gauge* inflight_gauge_ = nullptr;
-  // Async-core series: sessions registered on the event loop, how many of
-  // them are read-parked by backpressure, the deepest per-session pipeline
+  // Event-loop series: sessions registered on the loop, how many of them
+  // are read-parked by backpressure, the deepest per-session pipeline
   // ever observed, and loop wakeups (epoll_wait returns).
   telemetry::Gauge* open_sessions_ = nullptr;
   telemetry::Gauge* parked_sessions_ = nullptr;
@@ -314,30 +276,22 @@ class Server final : public Dispatcher {
   std::atomic<bool> shutdown_{false};
 };
 
-// One session over borrowed streams: runs until EOF or a `quit`/`shutdown`
-// frame, drains, and returns the stats. The stdin/stdout framed loop and the
-// in-process tests/benches use this.
-ServeStats serve(const SolverRegistry& registry, std::istream& in, std::ostream& out,
-                 const ServeOptions& options, WarmState* warm = nullptr);
+// One session bridged to `in_fd`/`out_fd` (EventLoop::run_stdio; neither
+// fd is closed): runs until EOF, a `quit`/`shutdown` frame, or SIGTERM,
+// drains, flushes the warm state, and returns the stats. *error is set when
+// the bridge cannot be built. The stdin/stdout framed loop.
+ServeStats serve(const SolverRegistry& registry, int in_fd, int out_fd,
+                 const ServeOptions& options, std::string* error,
+                 WarmState* warm = nullptr);
 
-// Accept loop over an already-open listener: serves concurrent clients from
-// one resident Server until a client sends `shutdown` (or the listener
-// fails). When `warm` is persistent its journals are flushed periodically
-// (and once more on return). Returns aggregate stats; on listener failure
-// returns the stats so far with *error set.
+// Serves concurrent clients on an already-open listener from one resident
+// Server until a client sends `shutdown`, SIGTERM, or the listener fails.
+// When `warm` is persistent its journals are flushed periodically (and once
+// more on return). Returns aggregate stats; on listener failure returns the
+// stats so far with *error set.
 ServeStats serve_listener(const SolverRegistry& registry, Listener& listener,
                           const ServeOptions& options, std::string* error,
                           WarmState* warm = nullptr);
-
-// The thread-per-client accept loop under serve_listener (the
-// `--serve-core=threads` path): accepts clients off `listener`, runs `session` on
-// a detached thread per connection (the thread owns its transport), calls
-// `tick()` between accepts (~every 200ms poll), and stops when `stop()`
-// turns true, the listener fails, or the process receives SIGTERM (graceful
-// drain: stop accepting, interrupt idle sessions, wait for in-flight work).
-void run_accept_loop(Listener& listener, const std::function<void(Transport&)>& session,
-                     const std::function<bool()>& stop,
-                     const std::function<void()>& tick);
 
 // serve_listener over a unix-domain socket at `socket_path`. On listener
 // setup failure returns zero stats with *error set.

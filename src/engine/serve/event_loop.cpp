@@ -1,6 +1,7 @@
 #include "engine/serve/event_loop.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -50,17 +51,33 @@ constexpr std::size_t kWriteHighWater = std::size_t{4} << 20;
 // Default per-session pipeline bound when Policy::pipeline_depth is 0.
 constexpr std::size_t kDefaultPipelineDepth = 64;
 
-// SIGTERM = graceful drain, exactly like run_accept_loop's handler (one core
-// runs at a time, so each installs its own flag).
+// SIGTERM = graceful drain: stop reading, finish in-flight work, flush. The
+// supervisor stops fleet backends this way.
 std::atomic<bool> g_drain{false};
 void drain_handler(int) { g_drain.store(true); }
 
-// Mirrors the blocking session loop's line trimming (see serve.cpp).
+// Strips every character istream extraction also treats as whitespace
+// (\v and \f included), so a whitespace-only line is always skipped as a
+// blank frame and never reaches classify_frame as an empty word list.
 std::string trimmed(const std::string& line) {
   const auto start = line.find_first_not_of(" \t\r\v\f");
   if (start == std::string::npos) return "";
   const auto end = line.find_last_not_of(" \t\r\v\f");
   return line.substr(start, end - start + 1);
+}
+
+// Constant-time token comparison: the loop shape depends only on the
+// lengths, never on where the strings first differ, so response timing
+// cannot be used to guess a remote token byte by byte.
+bool token_equal(const std::string& a, const std::string& b) {
+  const std::size_t n = std::max(a.size(), b.size());
+  unsigned diff = static_cast<unsigned>(a.size() ^ b.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const unsigned char ca = i < a.size() ? static_cast<unsigned char>(a[i]) : 0;
+    const unsigned char cb = i < b.size() ? static_cast<unsigned char>(b[i]) : 0;
+    diff |= static_cast<unsigned>(ca ^ cb);
+  }
+  return diff == 0;
 }
 
 // Read-only streambuf over a byte range: lets the finished instance body be
@@ -73,18 +90,84 @@ class MemBuf final : public std::streambuf {
   }
 };
 
+void write_all(int fd, const char* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::write(fd, data, size);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return;  // stdout gone: the answers have nowhere to go
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+}
+
+// Bridges the stdio fds to `sock`, the peer of the loop's one stdio session:
+// stdin bytes go in, response bytes come out. A thread with poll() rather
+// than the loop itself, because a regular-file stdin cannot be registered
+// with epoll. Each read takes what is available, so a lockstep client on a
+// pipe or tty is answered frame by frame. `sock` is nonblocking. Returns
+// once the loop closes the session.
+void pump_stdio(int in_fd, int out_fd, int sock) {
+  std::string pending;  // stdin bytes not yet accepted by the socket
+  std::size_t off = 0;
+  bool in_open = true;
+  bool write_shut = false;
+  char buf[1 << 16];
+  while (true) {
+    if (!in_open && off == pending.size() && !write_shut) {
+      ::shutdown(sock, SHUT_WR);  // the session reads EOF after the last frame
+      write_shut = true;
+    }
+    pollfd fds[2] = {{sock, POLLIN, 0}, {in_fd, POLLIN, 0}};
+    if (off < pending.size()) fds[0].events |= POLLOUT;
+    const nfds_t count = in_open && off == pending.size() ? 2 : 1;
+    if (::poll(fds, count, -1) < 0) {
+      if (errno == EINTR) continue;
+      return;
+    }
+    if ((fds[0].revents & POLLOUT) != 0) {
+      const ssize_t n = ::write(sock, pending.data() + off, pending.size() - off);
+      if (n > 0) {
+        off += static_cast<std::size_t>(n);
+      } else if (n < 0 && errno != EAGAIN && errno != EINTR) {
+        in_open = false;  // the session is gone; drop the rest of stdin
+        off = pending.size();
+      }
+    }
+    if (off == pending.size()) {
+      pending.clear();
+      off = 0;
+    }
+    if (count == 2 && (fds[1].revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL)) != 0) {
+      const ssize_t n = ::read(in_fd, buf, sizeof(buf));
+      if (n > 0) {
+        pending.assign(buf, static_cast<std::size_t>(n));
+      } else if (n == 0 || (errno != EINTR && errno != EAGAIN)) {
+        in_open = false;
+      }
+    }
+    if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+      const ssize_t n = ::read(sock, buf, sizeof(buf));
+      if (n > 0) {
+        write_all(out_fd, buf, static_cast<std::size_t>(n));
+      } else if (n == 0 || (errno != EAGAIN && errno != EINTR)) {
+        return;
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------ instance body scan ---
 //
-// The blocking core hands the live istream to parse_instance and simply
-// blocks until the body has streamed in. The readiness loop cannot block, so
-// this scanner answers "does the buffer hold one complete instance yet?" by
-// mirroring parse_instance's CONSUMPTION automaton token by token — the same
+// parse_instance reads a whole istream and would block on a body that has
+// not fully arrived. The readiness loop cannot block, so this scanner
+// answers "does the buffer hold one complete instance yet?" by mirroring
+// parse_instance's CONSUMPTION automaton token by token — the same
 // literals, the same integer checks, the same count ranges, the same
 // per-value validation points — so it stops at exactly the byte where the
 // real parser would stop, for well-formed and malformed bodies alike. It
 // never produces an instance or an error message itself: once it stops, the
 // consumed range is replayed through parse_instance (one parser decides
-// validity and wording; the differential test pins the equivalence).
+// validity and wording; the serve wire golden pins the result).
 class InstanceBodyScanner {
  public:
   enum class Status { kNeedMore, kComplete, kBad };
@@ -409,7 +492,7 @@ struct EventLoop::Impl {
     ::epoll_ctl(epfd, EPOLL_CTL_ADD, wakefd, &ev);
     if (listener == nullptr) return;
     // The accept loop drains until EAGAIN, which needs a nonblocking
-    // listener (the poll-first blocking core never relied on blocking mode).
+    // listener.
     const int flags = ::fcntl(listener->fd(), F_GETFL, 0);
     if (flags >= 0) ::fcntl(listener->fd(), F_SETFL, flags | O_NONBLOCK);
     arm_listener();
@@ -645,10 +728,8 @@ struct EventLoop::Impl {
     dispatcher.execute(std::move(request), Reply{&self, s.sid, ticket});
   }
 
-  // One complete frame — the async mirror of the blocking session loop's
-  // body (same classification order, same accounting, same gates), with
-  // "write a response" replaced by "queue bytes" and "block on admission"
-  // replaced by parking in the caller.
+  // One complete frame: account it, run the auth/fault/quota gates, then
+  // answer inline or execute. Admission is parking in the caller.
   void dispatch_frame(Session& s, Frame frame) {
     s.last_frame = Clock::now();
     if (frame.kind == Frame::Kind::kQuit) {
@@ -669,10 +750,12 @@ struct EventLoop::Impl {
     request.metrics = request.bad.empty() && frame.kind == Frame::Kind::kMetrics;
     if (request.req.id.empty()) request.req.id = "#" + std::to_string(request.seq);
 
-    // Refusals are answered inline, ahead of any still-pending solve
-    // responses — the same overtaking the blocking core exhibits.
+    // The auth gate. A valid token flips the session to authed silently (the
+    // next frame's response is the ack); a bad token or any pre-auth frame is
+    // answered inline, ahead of pending solves, and the session closes, so an
+    // unauthenticated peer gets exactly one line out of us.
     if (request.bad.empty() && frame.kind == Frame::Kind::kAuth) {
-      if (s.authed || detail::token_equal(frame.auth_token, policy.auth_token)) {
+      if (s.authed || token_equal(frame.auth_token, policy.auth_token)) {
         s.authed = true;
         return;
       }
@@ -738,8 +821,9 @@ struct EventLoop::Impl {
           s.body_frame = Frame{};
           dispatch_frame(s, std::move(frame));
         } else {
-          // Mirror parse_frame: a malformed body discards input up to the
-          // next blank line before the frame is answered.
+          // A malformed body discards input up to the next blank line
+          // (bodies contain none) before the frame is answered, so the rest
+          // of the broken body is not misread as frames.
           s.mode = Session::Mode::kDiscard;
         }
       } else if (s.mode == Session::Mode::kDiscard) {
@@ -906,8 +990,7 @@ struct EventLoop::Impl {
     shutting_down = true;
     accepting = false;
     disarm_listener();
-    // Same contract as run_accept_loop's teardown: stop reading everywhere
-    // (unprocessed input is discarded, like interrupt()'s forced EOF), drain
+    // Stop reading everywhere (unprocessed input is discarded), drain
     // in-flight work, flush responses, close.
     std::vector<std::uint64_t> sids;
     sids.reserve(sessions.size());
@@ -941,10 +1024,6 @@ struct EventLoop::Impl {
     return std::max(0, timeout);
   }
 
-  bool listener_down() const {
-    return listener_failed || (listener != nullptr && !listener->ok());
-  }
-
   bool run() {
     if (epfd < 0 || wakefd < 0) return false;
     if (listener != nullptr && listener->fd() < 0) return false;
@@ -957,7 +1036,7 @@ struct EventLoop::Impl {
     epoll_event events[128];
     while (true) {
       if (!shutting_down &&
-          (dispatcher.shutdown_requested() || g_drain.load() || listener_down() ||
+          (dispatcher.shutdown_requested() || g_drain.load() || listener_failed ||
            (listener == nullptr && sessions.empty()))) {
         begin_shutdown();
       }
@@ -1049,13 +1128,25 @@ EventLoop::EventLoop(Dispatcher& dispatcher, Listener* listener)
 
 EventLoop::~EventLoop() = default;
 
-void EventLoop::adopt(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  impl_->add_session(fd);
-}
-
 bool EventLoop::run() { return impl_->run(); }
+
+bool EventLoop::run_stdio(int in_fd, int out_fd, std::string* error) {
+  int pair[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0, pair) != 0) {
+    if (error != nullptr) *error = std::string("socketpair: ") + std::strerror(errno);
+    return false;
+  }
+  impl_->add_session(pair[0]);  // owned by the session from here on
+  std::thread pump([&] {
+    pump_stdio(in_fd, out_fd, pair[1]);
+    ::close(pair[1]);
+  });
+  const bool ok = impl_->run();
+  impl_->sessions.clear();  // a failed loop leaves the session: close it for the pump
+  pump.join();
+  if (!ok && error != nullptr) *error = "event loop failed";
+  return ok;
+}
 
 bool EventLoop::watch(int fd, std::uint64_t tag, std::uint32_t events) {
   epoll_event ev{};

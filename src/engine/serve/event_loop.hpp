@@ -1,12 +1,9 @@
-// The epoll front end shared by serve and route: one readiness loop instead
-// of a thread per client.
+// The epoll front end shared by serve and route: one readiness loop serves
+// every client session, socket and stdio alike.
 //
-// The thread-per-client core (Server::session + run_accept_loop) is honest
-// but hits a wall at thousands of connections: every idle session costs a
-// stack, a blocked read, and two 64 KiB stream buffers. This loop makes a
-// session *cheap heap state* — an fd, a read buffer, a write buffer, and a
-// tiny frame state machine — so tens of thousands of open connections cost
-// megabytes, not gigabytes, and exactly one thread does all the IO:
+// A session is cheap heap state — an fd, a read buffer, a write buffer, and
+// a tiny frame state machine — so tens of thousands of open connections cost
+// megabytes, and exactly one thread does all the IO:
 //
 //   epoll_wait ─┬─ listener readable  → accept4(NONBLOCK), register session
 //               ├─ session readable   → append to rbuf → frame state machine
@@ -30,28 +27,29 @@
 //                                   epoll and answers on the loop thread —
 //                                   no pool, no thread per client.
 //
+// Stdio is one more session: run_stdio() adopts one end of a socketpair and
+// a poll() pump thread bridges the other end to the stdin/stdout fds,
+// because a regular-file stdin cannot be registered with epoll.
+//
 // Because the loop never blocks on one client, a client may PIPELINE
 // requests — send many frames before reading — and responses come back in
 // send order: executed frames are reordered per session by a ticket
-// sequence; stats/metrics probes, auth errors, and over-quota refusals stay
-// inline and may overtake queued solves, exactly like the blocking core.
+// sequence; stats/metrics probes, auth errors, and over-quota refusals are
+// answered inline and may overtake queued solves.
 //
 // Admission is backpressure, not a session cap: when the dispatcher is
 // saturated (its global in-flight bound), or one session exceeds its
 // pipeline depth, or a peer stops reading its responses, that session's
 // reads are PARKED (its EPOLLIN interest dropped, bytes left in the kernel
 // buffer) until completions drain — the TCP window does the rest.
-// Robustness extras the blocking core lacks: EMFILE/ENFILE on accept backs
-// off and sheds via a reserve fd instead of exiting, and an idle timeout
-// reaps sessions that never complete a frame (slowloris), counted as
-// bisched_serve_rejects_total{reason="idle-timeout"}.
+// EMFILE/ENFILE on accept backs off and sheds via a reserve fd instead of
+// exiting, and an idle timeout reaps sessions that never complete a frame
+// (slowloris), counted as bisched_serve_rejects_total{reason="idle-timeout"}.
 //
-// Everything else is surface-preserving: auth-first frames, per-session
-// quota answered inline, fault injection, slow-log, periodic warm-state
-// flush, SIGTERM drain, `quit`/`shutdown` frames. docs/serve.md walks the
-// architecture; tests/engine/serve_async_test.cpp pins old-vs-new byte
-// equality on a shared request stream, tests/engine/route_golden_test.cpp
-// the router's stream.
+// The loop also owns auth-first frames, the per-session quota, the fault
+// hook, `quit`/`shutdown` frames and SIGTERM drain. docs/serve.md walks the
+// architecture; tests/engine/serve_golden_test.cpp pins serve's wire bytes
+// over a socket and stdio, tests/engine/route_golden_test.cpp the router's.
 #pragma once
 
 #include <chrono>
@@ -167,23 +165,23 @@ class Dispatcher {
 
 class EventLoop {
  public:
-  // Serves `listener` (may be null: then only adopted sessions are served,
-  // and the loop returns once the last one ends).
+  // Serves `listener` (null for run_stdio).
   EventLoop(Dispatcher& dispatcher, Listener* listener);
   ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  // Registers an already-connected fd as a session (owned from here on).
-  // Call before run().
-  void adopt(int fd);
-
-  // Runs until a `shutdown` frame, SIGTERM, or listener failure (or, with no
-  // listener, until the adopted sessions end); drains in-flight work and
-  // flushes session write queues before returning. False = the loop stopped
-  // because the listener (or the loop's own epoll plumbing) failed, not
-  // because shutdown was requested.
+  // Runs until a `shutdown` frame, SIGTERM, or listener failure; drains
+  // in-flight work and flushes session write queues before returning. False
+  // = the loop stopped because the listener (or the loop's own epoll
+  // plumbing) failed, not because shutdown was requested.
   bool run();
+
+  // Runs a listener-less loop over one session bridged to in_fd/out_fd
+  // (stdin/stdout, pipes or regular files; neither is closed) until that
+  // session ends, a `shutdown` frame, or SIGTERM. False with *error set when
+  // the bridge cannot be built or the loop fails.
+  bool run_stdio(int in_fd, int out_fd, std::string* error);
 
   // Dispatcher fds (loop thread only): events arrive at
   // Dispatcher::on_ready(tag, events). watch() adds or re-arms.

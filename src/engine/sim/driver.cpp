@@ -96,7 +96,7 @@ class LiveSession {
     // The fleet's per-attempt deadline helper: a stalled server surfaces as
     // EOF after timeout_ms instead of hanging the session forever.
     set_io_timeout(fd, options_.timeout_ms, options_.timeout_ms);
-    transport_ = std::make_unique<FdTransport>(fd, "sim");
+    transport_ = std::make_unique<FdTransport>(fd);
     if (!endpoint_.auth_token.empty()) {
       // Accepted silently; a rejection arrives as the reply to the first
       // real frame and is handled like any other error response.

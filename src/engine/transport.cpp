@@ -10,47 +10,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <iostream>
 
 namespace bisched::engine {
 
 namespace {
-
-// accept() errno triage: descriptor/buffer exhaustion (EMFILE/ENFILE/
-// ENOBUFS/ENOMEM) is load, not listener death — the right move is to back
-// off and keep serving the connections we already hold, not to close the
-// listener and drop them all. Loud (but rate-limited to one line a second)
-// so an operator sees the ulimit wall instead of a silent accept stall.
-bool accept_errno_is_transient(int err, const std::string& endpoint) {
-  switch (err) {
-    case EINTR:
-    case EAGAIN:
-    case ECONNABORTED:
-      return true;
-    case EMFILE:
-    case ENFILE:
-    case ENOBUFS:
-    case ENOMEM: {
-      static std::atomic<std::int64_t> last_warn_s{-1};
-      const std::int64_t now_s =
-          std::chrono::duration_cast<std::chrono::seconds>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count();
-      std::int64_t seen = last_warn_s.load();
-      if (seen != now_s && last_warn_s.compare_exchange_strong(seen, now_s)) {
-        std::cerr << "serve: accept on " << endpoint << " failed transiently: "
-                  << std::strerror(err) << " (shedding until fds free up)\n";
-      }
-      return true;
-    }
-    default:
-      return false;
-  }
-}
 
 // Fills a sockaddr_un; false when the path exceeds sun_path (no silent
 // truncation into some other socket).
@@ -118,15 +83,12 @@ int FdStreambuf::sync() { return flush_output() ? 0 : -1; }
 
 // ------------------------------------------------------------ FdTransport ---
 
-FdTransport::FdTransport(int fd, std::string peer)
-    : fd_(fd), peer_(std::move(peer)), buf_(fd), in_(&buf_), out_(&buf_) {}
+FdTransport::FdTransport(int fd) : fd_(fd), buf_(fd), in_(&buf_), out_(&buf_) {}
 
 FdTransport::~FdTransport() {
   out_.flush();
   ::close(fd_);
 }
-
-void FdTransport::interrupt() { ::shutdown(fd_, SHUT_RD); }
 
 // ------------------------------------------------------------ UnixListener ---
 
@@ -188,28 +150,6 @@ UnixListener::~UnixListener() {
   ::unlink(path_.c_str());
 }
 
-std::unique_ptr<FdTransport> UnixListener::accept(int poll_ms) {
-  if (fd_ < 0) return nullptr;
-  pollfd pfd{fd_, POLLIN, 0};
-  const int ready = ::poll(&pfd, 1, poll_ms);
-  if (ready <= 0) {
-    if (ready < 0 && errno != EINTR && errno != EAGAIN) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    return nullptr;
-  }
-  const int client = ::accept(fd_, nullptr, nullptr);
-  if (client < 0) {
-    if (!accept_errno_is_transient(errno, endpoint())) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    return nullptr;
-  }
-  return std::make_unique<FdTransport>(client, "unix:" + std::to_string(++accepted_));
-}
-
 // ------------------------------------------------------------ TcpListener ---
 
 namespace {
@@ -265,11 +205,11 @@ std::unique_ptr<TcpListener> TcpListener::open(const std::string& host, int port
   int fd = -1;
   std::string last_error = "no usable address for '" + host + "'";
   for (const addrinfo* ai = addresses; ai != nullptr; ai = ai->ai_next) {
-    // The no-auth guard: every candidate address is checked, so a hostname
+    // The loopback guard: every candidate address is checked, so a hostname
     // that resolves to anything non-loopback cannot slip a public bind in.
     if (!allow_remote && !is_loopback(ai->ai_addr)) {
       last_error = "refusing non-loopback bind on '" + host +
-                   "' (serve has no auth; pass --allow-remote to expose it)";
+                   "' (pass --allow-remote, with an auth token, to expose it)";
       continue;
     }
     fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
@@ -315,29 +255,6 @@ TcpListener::~TcpListener() {
 
 std::string TcpListener::endpoint() const {
   return "tcp:" + host_ + ":" + std::to_string(port_);
-}
-
-std::unique_ptr<FdTransport> TcpListener::accept(int poll_ms) {
-  if (fd_ < 0) return nullptr;
-  pollfd pfd{fd_, POLLIN, 0};
-  const int ready = ::poll(&pfd, 1, poll_ms);
-  if (ready <= 0) {
-    if (ready < 0 && errno != EINTR && errno != EAGAIN) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    return nullptr;
-  }
-  const int client = ::accept(fd_, nullptr, nullptr);
-  if (client < 0) {
-    if (!accept_errno_is_transient(errno, endpoint())) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    return nullptr;
-  }
-  set_tcp_nodelay(client);
-  return std::make_unique<FdTransport>(client, "tcp:" + std::to_string(++accepted_));
 }
 
 namespace {

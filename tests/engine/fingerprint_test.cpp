@@ -21,6 +21,7 @@
 #include "engine/api.hpp"
 #include "engine/serve.hpp"
 #include "io/format.hpp"
+#include "stdio_serve.hpp"
 #include "testing_util.hpp"
 #include "util/parallel.hpp"
 #include "util/prng.hpp"
@@ -260,14 +261,13 @@ TEST_F(FingerprintTest, SlowLogRendersTheFingerprintSpan) {
   for (char c : a_) escaped += c == '\n' ? std::string("\\n") : std::string(1, c);
   frames << "{\"id\": \"j1\", \"instance\": \"" << escaped << "\"}\n";
   frames << "{\"id\": \"j2\", \"instance\": \"" << escaped << "\"}\n";
-  std::istringstream in(frames.str());
-  std::ostringstream out;
   std::ostringstream slow;
   engine::ServeOptions options;
   options.threads = 1;
   options.slow_ms = 0;
   options.slow_log = &slow;
-  engine::serve(engine::SolverRegistry::builtin(), in, out, options);
+  std::string out;
+  testing::serve_text(frames.str(), options, &out);
   const std::string log = slow.str();
   // Native `instance` frames arrive pre-parsed and skip the index; the
   // first JSON body is indexed, the second answered from it.

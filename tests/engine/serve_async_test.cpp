@@ -1,10 +1,8 @@
-// Async serve core tests: the epoll readiness loop (engine/serve/event_loop)
-// against the contracts the thread-per-client core set — byte-identical
-// responses on the same frame stream (the differential test), pipelined
-// responses in send order, incremental frame parsing under a slow writer,
-// parked-reads backpressure, idle-timeout reaping, and a many-idle-sessions
-// smoke at a scale the blocking core's thread-per-connection model would
-// choke on.
+// Event-loop serve tests: pipelined responses in send order, incremental
+// frame parsing under a slow writer, the auth gate, parked-reads
+// backpressure, idle-timeout reaping, and a many-idle-sessions smoke at a
+// scale a thread per connection would choke on. The wire bytes themselves
+// are pinned by serve_golden_test.cpp.
 #include <chrono>
 #include "engine/serve.hpp"
 
@@ -76,8 +74,8 @@ std::string read_to_eof(int fd) {
   return out;
 }
 
-// Serves `stream` over one unix-socket session on the given core and returns
-// the full response byte stream plus the server's aggregate stats.
+// Serves `stream` over one unix-socket session and returns the full response
+// byte stream plus the server's aggregate stats.
 std::pair<std::string, engine::ServeStats> one_shot_session(
     const std::string& stream, ServeOptions options, const std::string& tag) {
   const auto dir = fs::temp_directory_path() / ("bisched_async_" + tag);
@@ -111,68 +109,6 @@ std::pair<std::string, engine::ServeStats> one_shot_session(
   fs::remove_all(dir);
   EXPECT_TRUE(serve_error.empty()) << serve_error;
   return {response, stats};
-}
-
-// ---------------------------------------------------------------------------
-// The differential test: the same frame stream — solves in every form, a
-// malformed frame, a malformed body with resync, a reserved id — through the
-// thread-per-client core and the epoll core must produce byte-identical
-// responses (threads=1 keeps seq assignment deterministic, --stable strips
-// timing; both servers start from a fresh private warm state).
-
-TEST(ServeAsync, ByteIdenticalWithTheBlockingCoreOnTheSameStream) {
-  Rng rng(61);
-  const auto inst = testing::random_uniform_instance(5, 5, 2, 4, 3, rng);
-  const std::string text = instance_text(inst);
-  std::string json_text;
-  for (char c : text) {
-    if (c == '\n') {
-      json_text += "\\n";
-    } else {
-      json_text += c;
-    }
-  }
-
-  std::ostringstream stream;
-  stream << "# comment, then a blank line\n\n";
-  stream << "instance native-1\n" << text;
-  stream << "{\"id\": \"inline-json\", \"instance\": \"" << json_text << "\"}\n";
-  stream << "bogus frame\n";
-  stream << "instance broken\n"
-         << "bisched uniform v1\njobs 3\np 1 2 3\nspeds 2\n2 1\nedges 0\n"
-         << "\n";  // resync point after the malformed body
-  stream << "instance native-2\n" << text;  // cache hit, same either way
-  stream << "solve /nonexistent.inst missing\n";
-  stream << "{\"id\": \"#7\", \"path\": \"x\"}\n";  // reserved id form
-  stream << "quit\n";
-
-  ServeOptions options;
-  options.threads = 1;
-  options.stable_output = true;
-
-  ServeOptions async = options;
-  async.core = ServeOptions::Core::kAsync;
-  ServeOptions threads = options;
-  threads.core = ServeOptions::Core::kThreads;
-
-  const auto [async_out, async_stats] =
-      one_shot_session(stream.str(), async, "diff_async");
-  const auto [threads_out, threads_stats] =
-      one_shot_session(stream.str(), threads, "diff_threads");
-
-  EXPECT_EQ(async_out, threads_out);
-  EXPECT_FALSE(async_out.empty());
-  EXPECT_EQ(async_stats.requests, threads_stats.requests);
-  EXPECT_EQ(async_stats.ok, threads_stats.ok);
-  EXPECT_EQ(async_stats.errors, threads_stats.errors);
-  EXPECT_EQ(async_stats.malformed, threads_stats.malformed);
-  // Spot-check the shared surface, not just the equality.
-  EXPECT_NE(async_out.find("\"id\": \"native-1\""), std::string::npos) << async_out;
-  EXPECT_NE(async_out.find("\"id\": \"inline-json\""), std::string::npos);
-  EXPECT_NE(async_out.find("unrecognized frame"), std::string::npos);
-  EXPECT_NE(async_out.find("parse error"), std::string::npos);
-  EXPECT_NE(async_out.find("\"cache\": \"hit-memory\""), std::string::npos);
-  EXPECT_NE(async_out.find("reserved #<digits> form"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -275,7 +211,7 @@ TEST(ServeAsync, SlowWriterDoesNotBlockOtherSessionsOrBreakFraming) {
 }
 
 // ---------------------------------------------------------------------------
-// The auth gate over the async core: pre-auth frames get one error line and
+// The auth gate over the event loop: pre-auth frames get one error line and
 // a closed session; the right token admits silently.
 
 TEST(ServeAsync, AuthGateHoldsOverTheEventLoop) {
@@ -340,7 +276,7 @@ TEST(ServeAsync, IdleTimeoutReapsSilentSessionsOnly) {
   // The active session keeps completing frames past the idle window.
   const int active = connect_with_retry(socket_path);
   ASSERT_GE(active, 0);
-  engine::FdTransport transport(active, "active");
+  engine::FdTransport transport(active);
   for (int i = 0; i < 4; ++i) {
     transport.out() << "instance keepalive-" << i << "\n" << text;
     transport.out().flush();
@@ -448,7 +384,7 @@ TEST(ServeAsync, ThousandIdleSessionsDoNotStallAnActiveOne) {
 // Backpressure: with pipeline_depth=2 and stalled workers, a burst of frames
 // is parked rather than refused — every frame is eventually answered, unlike
 // the session_max_inflight quota path (which refuses inline; that behavior
-// is pinned by the blocking-core quota test and shared via dispatch).
+// is pinned by ServeQuota in serve_test.cpp).
 
 TEST(ServeAsync, PipelineDepthParksReadsInsteadOfRefusing) {
   Rng rng(67);

@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +28,7 @@
 #include "engine/fault.hpp"
 #include "io/format.hpp"
 #include "io/jsonl.hpp"
+#include "stdio_serve.hpp"
 #include "testing_util.hpp"
 #include "util/prng.hpp"
 
@@ -77,12 +80,11 @@ TEST(Serve, AnswersEveryFrameFormAndReusesTheCache) {
   in_text << "quit\n";
   in_text << "instance after-quit\n";  // must never be read
 
-  std::istringstream in(in_text.str());
-  std::ostringstream out;
   ServeOptions options;
   options.threads = 1;
   options.stable_output = true;
-  const auto stats = engine::serve(SolverRegistry::builtin(), in, out, options);
+  std::string out;
+  const auto stats = testing::serve_text(in_text.str(), options, &out);
 
   EXPECT_EQ(stats.requests, 3u);
   EXPECT_EQ(stats.ok, 2u);
@@ -90,7 +92,7 @@ TEST(Serve, AnswersEveryFrameFormAndReusesTheCache) {
   EXPECT_EQ(stats.cache.hits, 1u);
   EXPECT_EQ(stats.cache.misses, 1u);
 
-  const auto lines = lines_of(out.str());
+  const auto lines = lines_of(out);
   ASSERT_EQ(lines.size(), 3u);
   std::string first;
   std::string second;
@@ -129,28 +131,27 @@ TEST(Serve, MalformedInlineBodyYieldsOneErrorAndResynchronizes) {
           << "\n"  // resynchronization point
           << "instance good\n"
           << instance_text(good);
-  std::istringstream in(in_text.str());
-  std::ostringstream out;
   ServeOptions options;
   options.threads = 1;
-  const auto stats = engine::serve(SolverRegistry::builtin(), in, out, options);
+  std::string out;
+  const auto stats = testing::serve_text(in_text.str(), options, &out);
 
   EXPECT_EQ(stats.requests, 2u);  // broken + good, nothing in between
   EXPECT_EQ(stats.ok, 1u);
   EXPECT_EQ(stats.errors, 1u);
   // An `instance` header with extra tokens must also consume its body.
-  std::istringstream in2("instance too many ids\n" + instance_text(good) +
-                         "instance fine\n" + instance_text(good));
-  std::ostringstream out2;
-  const auto stats2 = engine::serve(SolverRegistry::builtin(), in2, out2, options);
+  std::string out2;
+  const auto stats2 = testing::serve_text("instance too many ids\n" + instance_text(good) +
+                                              "instance fine\n" + instance_text(good),
+                                          options, &out2);
   EXPECT_EQ(stats2.requests, 2u);
   EXPECT_EQ(stats2.ok, 1u);
   EXPECT_EQ(stats2.errors, 1u);
-  EXPECT_NE(out2.str().find("at most one id"), std::string::npos);
-  EXPECT_NE(out2.str().find("\"id\": \"fine\""), std::string::npos);
-  const auto lines = lines_of(out.str());
+  EXPECT_NE(out2.find("at most one id"), std::string::npos);
+  EXPECT_NE(out2.find("\"id\": \"fine\""), std::string::npos);
+  const auto lines = lines_of(out);
   ASSERT_EQ(lines.size(), 2u);
-  const auto text = out.str();
+  const auto& text = out;
   const auto broken = text.find("\"id\": \"broken\"");
   ASSERT_NE(broken, std::string::npos);
   EXPECT_NE(text.find("parse error", broken), std::string::npos);
@@ -174,18 +175,17 @@ TEST(Serve, PathRequestsAndPerRequestAlgOverrides) {
   in_text << "solve " << path << " by-line\n";
   in_text << "{\"id\": \"by-json\", \"path\": \"" << path << "\", \"alg\": \"split\"}\n";
   in_text << "{\"id\": \"missing\", \"path\": \"" << path << ".nope\"}\n";
-  std::istringstream in(in_text.str());
-  std::ostringstream out;
   ServeOptions options;
   options.threads = 1;
-  const auto stats = engine::serve(SolverRegistry::builtin(), in, out, options);
+  std::string out;
+  const auto stats = testing::serve_text(in_text.str(), options, &out);
   fs::remove_all(dir);
 
   EXPECT_EQ(stats.requests, 3u);
   EXPECT_EQ(stats.ok, 2u);
   EXPECT_EQ(stats.errors, 1u);
 
-  const auto text = out.str();
+  const auto& text = out;
   EXPECT_NE(text.find("\"id\": \"by-line\""), std::string::npos);
   const auto by_json = text.find("\"id\": \"by-json\"");
   ASSERT_NE(by_json, std::string::npos);
@@ -195,28 +195,26 @@ TEST(Serve, PathRequestsAndPerRequestAlgOverrides) {
   EXPECT_NE(text.find("cannot open file", missing), std::string::npos);
 
   // A typo'd key must be rejected, not silently solved with defaults.
-  std::istringstream in2("{\"id\": \"typo\", \"path\": \"" + path +
-                         "\", \"ep\": 0.01}\n");
-  std::ostringstream out2;
-  const auto stats2 = engine::serve(SolverRegistry::builtin(), in2, out2, options);
+  std::string out2;
+  const auto stats2 = testing::serve_text(
+      "{\"id\": \"typo\", \"path\": \"" + path + "\", \"ep\": 0.01}\n", options, &out2);
   EXPECT_EQ(stats2.errors, 1u);
-  EXPECT_NE(out2.str().find("unknown key \\\"ep\\\""), std::string::npos);
+  EXPECT_NE(out2.find("unknown key \\\"ep\\\""), std::string::npos);
 }
 
 TEST(Serve, MalformedJsonFramesAreAnsweredUnderTheClientsId) {
   // The id is salvageable whenever the frame is a parseable object, even
   // when a later field fails validation — a client correlating strictly by
   // its own ids must still see the error.
-  std::istringstream in(
-      "{\"id\": \"r9\", \"path\": \"a.inst\", \"eps\": \"fast\"}\n"
-      "{\"id\": \"r10\"}\n"
-      "{\"id\": \"#3\", \"ep\": 1}\n");  // reserved id: auto id applies
-  std::ostringstream out;
   ServeOptions options;
   options.threads = 1;
-  const auto stats = engine::serve(SolverRegistry::builtin(), in, out, options);
+  std::string text;
+  const auto stats = testing::serve_text(
+      "{\"id\": \"r9\", \"path\": \"a.inst\", \"eps\": \"fast\"}\n"
+      "{\"id\": \"r10\"}\n"
+      "{\"id\": \"#3\", \"ep\": 1}\n",  // reserved id: auto id applies
+      options, &text);
   EXPECT_EQ(stats.errors, 3u);
-  const auto text = out.str();
   const auto r9 = text.find("\"id\": \"r9\"");
   ASSERT_NE(r9, std::string::npos) << text;
   EXPECT_NE(text.find("eps is not a number", r9), std::string::npos);
@@ -245,17 +243,16 @@ TEST(Serve, RejectsClientIdsInTheReservedForm) {
   in_text << "{\"id\": \"#7\", \"path\": \"" << path << "\"}\n";
   in_text << "solve " << path << " #12\n";
   in_text << "solve " << path << " #x7\n";
-  std::istringstream in(in_text.str());
-  std::ostringstream out;
   ServeOptions options;
   options.threads = 1;
-  const auto stats = engine::serve(SolverRegistry::builtin(), in, out, options);
+  std::string out;
+  const auto stats = testing::serve_text(in_text.str(), options, &out);
   fs::remove_all(dir);
 
   EXPECT_EQ(stats.requests, 3u);
   EXPECT_EQ(stats.ok, 1u);
   EXPECT_EQ(stats.errors, 2u);
-  const auto text_out = out.str();
+  const auto& text_out = out;
   EXPECT_NE(text_out.find("reserved #<digits> form"), std::string::npos);
   // The rejected requests are answered under their auto-assigned ids.
   EXPECT_NE(text_out.find("\"id\": \"#0\""), std::string::npos);
@@ -273,16 +270,14 @@ TEST(Serve, StatsFrameIsAnsweredInlineAndValidated) {
   in_text << "stats s1\n";
   in_text << "stats one two\n";  // malformed: at most one id
   in_text << "stats #7\n";       // reserved id form: rejected like any frame
-  std::istringstream in(in_text.str());
-  std::ostringstream out;
   ServeOptions options;
   options.threads = 1;
-  const auto stats = engine::serve(SolverRegistry::builtin(), in, out, options);
+  std::string text;
+  const auto stats = testing::serve_text(in_text.str(), options, &text);
 
   EXPECT_EQ(stats.requests, 4u);
   EXPECT_EQ(stats.ok, 2u);  // the solve + the well-formed stats frame
   EXPECT_EQ(stats.errors, 2u);
-  const auto text = out.str();
   const auto at = text.find("\"type\": \"stats\"");
   ASSERT_NE(at, std::string::npos) << text;
   EXPECT_NE(text.find("\"id\": \"s1\""), std::string::npos) << text;
@@ -306,8 +301,7 @@ TEST(Serve, StatsFrameIsAnsweredInlineAndValidated) {
 
 // ---------------------------------------------------------------------------
 // Unix-socket transport: one in-process Server, a listener thread, and two
-// concurrent raw-socket clients — the multi-client proof the Transport
-// abstraction exists for.
+// concurrent raw-socket clients sharing its warm state.
 
 TEST(ServeUnix, TwoConcurrentClientsShareOneResidentServer) {
   Rng rng(46);
@@ -468,25 +462,68 @@ TEST(ServeTcp, LoopbackListenerServesAndPublicBindsNeedAllowRemote) {
 
 // Nagle off on both ends: a pipelining peer (`client --pipeline`, the
 // router's backend links) writes small frames back to back, and with Nagle
-// on the second one waits for the first one's ACK.
+// on the second one waits for the first one's ACK. The server end is the
+// socket the event loop accepted, found among this process's own fds by its
+// address pair.
 TEST(ServeTcp, BothEndsOfATcpPairDisableNagle) {
   std::string error;
   auto listener = engine::TcpListener::open("127.0.0.1", /*port=*/0,
                                             /*allow_remote=*/false, &error);
   ASSERT_NE(listener, nullptr) << error;
-  const int client = engine::tcp_connect("127.0.0.1", listener->port(), &error);
+  const int port = listener->port();
+  ServeOptions options;
+  options.threads = 1;
+  std::string serve_error;
+  std::thread server([&] {
+    (void)engine::serve_listener(SolverRegistry::builtin(), *listener, options,
+                                 &serve_error);
+  });
+
+  const int client = engine::tcp_connect("127.0.0.1", port, &error);
   ASSERT_GE(client, 0) << error;
-  auto server = listener->accept(/*poll_ms=*/5000);
-  ASSERT_NE(server, nullptr);
+  // One answered frame proves the loop has accepted the connection.
+  const char* probe = "stats\n";
+  ASSERT_EQ(::write(client, probe, strlen(probe)), static_cast<ssize_t>(strlen(probe)));
+  char c = 0;
+  while (::read(client, &c, 1) == 1 && c != '\n') {
+  }
+
+  sockaddr_in client_addr{};
+  socklen_t len = sizeof(client_addr);
+  ASSERT_EQ(::getsockname(client, reinterpret_cast<sockaddr*>(&client_addr), &len), 0);
+  int accepted = -1;
+  for (const auto& entry : fs::directory_iterator("/proc/self/fd")) {
+    const int fd = std::atoi(entry.path().filename().c_str());
+    sockaddr_in local{};
+    sockaddr_in peer{};
+    socklen_t local_len = sizeof(local);
+    socklen_t peer_len = sizeof(peer);
+    if (fd == client ||
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &local_len) != 0 ||
+        ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) != 0 ||
+        local.sin_family != AF_INET || ntohs(local.sin_port) != port) {
+      continue;
+    }
+    if (peer.sin_port == client_addr.sin_port &&
+        peer.sin_addr.s_addr == client_addr.sin_addr.s_addr) {
+      accepted = fd;
+    }
+  }
+  ASSERT_GE(accepted, 0) << "no accepted socket for the client's address";
   const auto nodelay = [](int fd) {
     int value = 0;
-    socklen_t len = sizeof(value);
-    EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+    socklen_t value_len = sizeof(value);
+    EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &value_len), 0);
     return value != 0;
   };
   EXPECT_TRUE(nodelay(client));
-  EXPECT_TRUE(nodelay(server->fd()));
+  EXPECT_TRUE(nodelay(accepted));
+
+  const char* bye = "shutdown\n";
+  ASSERT_EQ(::write(client, bye, strlen(bye)), static_cast<ssize_t>(strlen(bye)));
+  server.join();
   ::close(client);
+  EXPECT_TRUE(serve_error.empty()) << serve_error;
 }
 
 // ---------------------------------------------------------------------------
@@ -505,10 +542,9 @@ TEST(ServeAuth, GateClosesUnauthedSessionsAndAdmitsTheRightToken) {
   options.auth_token = "sesame";
 
   const auto one_session = [&](const std::string& input) {
-    std::istringstream in(input);
-    std::ostringstream out;
-    const auto stats = engine::serve(SolverRegistry::builtin(), in, out, options);
-    return std::make_pair(stats, out.str());
+    std::string out;
+    const auto stats = testing::serve_text(input, options, &out);
+    return std::make_pair(stats, out);
   };
 
   // A pre-auth solve: one error line, then the session is CLOSED — the
@@ -553,13 +589,13 @@ TEST(ServeAuth, GateClosesUnauthedSessionsAndAdmitsTheRightToken) {
   {
     ServeOptions open = options;
     open.auth_token.clear();
-    std::istringstream in("auth whatever\ninstance open\n" + text + "quit\n");
-    std::ostringstream out;
-    const auto stats = engine::serve(SolverRegistry::builtin(), in, out, open);
+    std::string out;
+    const auto stats =
+        testing::serve_text("auth whatever\ninstance open\n" + text + "quit\n", open, &out);
     EXPECT_EQ(stats.ok, 1u);
     EXPECT_EQ(stats.errors, 0u);
     EXPECT_EQ(stats.auth_frames, 1u);
-    EXPECT_NE(out.str().find("\"status\": \"ok\""), std::string::npos) << out.str();
+    EXPECT_NE(out.find("\"status\": \"ok\""), std::string::npos) << out;
   }
 }
 
@@ -582,26 +618,25 @@ TEST(ServeQuota, ExcessInflightFrameIsRefusedInlineWithOverQuota) {
   options.stable_output = true;
   options.session_max_inflight = 1;
 
-  std::istringstream in("instance slow\n" + text + "instance greedy\n" + text +
-                        "quit\n");
-  std::ostringstream out;
-  const auto stats = engine::serve(SolverRegistry::builtin(), in, out, options);
+  std::string out;
+  const auto stats = testing::serve_text(
+      "instance slow\n" + text + "instance greedy\n" + text + "quit\n", options, &out);
 
   ::unsetenv("BISCHED_FAULT");
   engine::fault::refresh_from_env();
 
   EXPECT_EQ(stats.ok, 1u);
   EXPECT_EQ(stats.errors, 1u);
-  const auto lines = lines_of(out.str());
-  ASSERT_EQ(lines.size(), 2u) << out.str();
+  const auto lines = lines_of(out);
+  ASSERT_EQ(lines.size(), 2u) << out;
   std::string ok_line;
   std::string quota_line;
   for (const auto& line : lines) {
     if (line.find("over-quota") != std::string::npos) quota_line = line;
     if (line.find("\"status\": \"ok\"") != std::string::npos) ok_line = line;
   }
-  ASSERT_FALSE(quota_line.empty()) << out.str();
-  ASSERT_FALSE(ok_line.empty()) << out.str();
+  ASSERT_FALSE(quota_line.empty()) << out;
+  ASSERT_FALSE(ok_line.empty()) << out;
   EXPECT_NE(quota_line.find("\"id\": \"greedy\""), std::string::npos) << quota_line;
   EXPECT_NE(ok_line.find("\"id\": \"slow\""), std::string::npos) << ok_line;
 }
@@ -815,6 +850,72 @@ TEST_F(ServeCliTest, StatsFrameReportsExactCountersInLockstep) {
   EXPECT_NE(stats.find("\"result_hits_memory\": 1"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"result_hit_rate\": 0.5"), std::string::npos) << stats;
   close_stdin();
+}
+
+// SIGTERM on stdio serve drains: the in-flight solve is answered, the
+// summary is printed, and the process exits 0 with stdin still open. Every
+// solve is stalled 500 ms by fault injection; the signal lands mid-stall.
+class ServeCliStalledTest : public ServeCliTest {
+ protected:
+  void SetUp() override {
+    ASSERT_EQ(::setenv("BISCHED_FAULT", "stall-ms:500", 1), 0);
+    ServeCliTest::SetUp();
+    ::unsetenv("BISCHED_FAULT");
+  }
+};
+
+TEST_F(ServeCliStalledTest, SigtermDrainsTheInFlightSolveAndExitsZero) {
+  Rng rng(55);
+  const auto inst = testing::random_uniform_instance(4, 4, 2, 3, 3, rng);
+  const std::string text = instance_text(inst);
+  // A lockstep warm-up proves the process is up and reading its stdin.
+  send("instance warm\n" + text);
+  ASSERT_NE(read_line().find("\"id\": \"warm\""), std::string::npos);
+
+  send("instance inflight\n" + text);
+  ::usleep(150'000);
+  ASSERT_EQ(::kill(child_, SIGTERM), 0);
+  const std::string answered = read_line();
+  EXPECT_NE(answered.find("\"id\": \"inflight\""), std::string::npos) << answered;
+  EXPECT_NE(answered.find("\"status\": \"ok\""), std::string::npos) << answered;
+  EXPECT_EQ(read_line(), "");  // then EOF: nothing else on stdout
+
+  int status = 0;
+  ASSERT_EQ(::waitpid(child_, &status, 0), child_);
+  child_ = -1;
+  ASSERT_TRUE(WIFEXITED(status)) << "killed by signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+// A closed stdin reads as EOF. Without the CLI's guard the next descriptor
+// serve opens (its epoll fd) would land on fd 0 and be polled as stdin,
+// and the process would never exit.
+TEST(ServeCli, ClosedStdinReadsAsEofAndExits) {
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    const int null = ::open("/dev/null", O_WRONLY);
+    ::dup2(null, STDOUT_FILENO);
+    ::dup2(null, STDERR_FILENO);
+    ::close(null);
+    ::close(STDIN_FILENO);
+    ::execl(BISCHED_CLI_PATH, BISCHED_CLI_PATH, "serve", "--threads=1",
+            static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  int status = 0;
+  pid_t done = 0;
+  for (int i = 0; i < 1000 && done == 0; ++i) {
+    done = ::waitpid(child, &status, WNOHANG);
+    if (done == 0) ::usleep(10'000);
+  }
+  if (done == 0) {
+    ::kill(child, SIGKILL);
+    ::waitpid(child, &status, 0);
+  }
+  ASSERT_EQ(done, child) << "serve with a closed stdin did not exit within 10 s";
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 #endif  // BISCHED_CLI_PATH

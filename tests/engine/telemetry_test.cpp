@@ -18,6 +18,7 @@
 #include "sched/simd_dispatch.hpp"
 #include "io/format.hpp"
 #include "io/jsonl.hpp"
+#include "stdio_serve.hpp"
 #include "testing_util.hpp"
 #include "util/prng.hpp"
 
@@ -160,15 +161,13 @@ TEST(TelemetryServe, ResponsesCarryElapsedAndTraceAndMetricsFrameExposes) {
   engine::ServeOptions options;
   options.threads = 1;  // NOT stable_output: real timings must survive
 
-  std::istringstream solve_in("instance a\n" + instance_text());
-  std::ostringstream solve_out;
-  const auto solve_stats = engine::serve(engine::SolverRegistry::builtin(),
-                                         solve_in, solve_out, options, &warm);
+  std::string solve_line;
+  const auto solve_stats =
+      testing::serve_text("instance a\n" + instance_text(), options, &solve_line, &warm);
   EXPECT_EQ(solve_stats.requests, 1u);
   EXPECT_EQ(solve_stats.solve_frames, 1u);
   EXPECT_EQ(solve_stats.malformed, 0u);
 
-  std::string solve_line = solve_out.str();
   ASSERT_FALSE(solve_line.empty());
   solve_line.pop_back();  // trailing '\n'
   std::string error;
@@ -179,13 +178,10 @@ TEST(TelemetryServe, ResponsesCarryElapsedAndTraceAndMetricsFrameExposes) {
   ASSERT_EQ(solve->count("trace_id"), 1u);
   EXPECT_EQ(solve->at("trace_id").rfind("t-", 0), 0u);
 
-  std::istringstream metrics_in("metrics m1\n");
-  std::ostringstream metrics_out;
-  const auto scrape_stats = engine::serve(engine::SolverRegistry::builtin(),
-                                          metrics_in, metrics_out, options, &warm);
+  std::string metrics_line;
+  const auto scrape_stats = testing::serve_text("metrics m1\n", options, &metrics_line, &warm);
   EXPECT_EQ(scrape_stats.metrics_frames, 1u);
 
-  std::string metrics_line = metrics_out.str();
   ASSERT_FALSE(metrics_line.empty());
   metrics_line.pop_back();
   const auto frame = parse_flat_json_object(metrics_line, &error);
@@ -223,15 +219,14 @@ TEST(TelemetryServe, RequestedSpansRideTheWireAsNestedJson) {
       escaped += c;
     }
   }
-  std::istringstream in("{\"id\": \"s1\", \"instance\": \"" + escaped +
-                        "\", \"spans\": true}\n");
-  std::ostringstream out;
   engine::ServeOptions options;
   options.threads = 1;
   options.stable_output = true;
-  engine::serve(engine::SolverRegistry::builtin(), in, out, options);
+  std::string line;
+  testing::serve_text("{\"id\": \"s1\", \"instance\": \"" + escaped + "\", \"spans\": true}\n",
+                      options, &line);
 
-  std::string line = out.str();
+  ASSERT_FALSE(line.empty());
   line.pop_back();  // trailing '\n'
   std::string error;
   const auto response = parse_flat_json_object(line, &error);
@@ -274,14 +269,13 @@ TEST(TelemetryServe, SlowLogEmitsOneStructuredLinePerSlowSolve) {
   std::ostringstream in_text;
   in_text << "instance a\n" << instance_text();
   in_text << "stats s1\n";  // introspection frames never hit the slow log
-  std::istringstream in(in_text.str());
-  std::ostringstream out;
   std::ostringstream slow;
   engine::ServeOptions options;
   options.threads = 1;
   options.slow_ms = 0;  // log every solve
   options.slow_log = &slow;
-  engine::serve(engine::SolverRegistry::builtin(), in, out, options);
+  std::string out;
+  testing::serve_text(in_text.str(), options, &out);
 
   const std::string log = slow.str();
   ASSERT_EQ(log.find("serve: slow-request trace=t-"), 0u) << log;
@@ -300,16 +294,11 @@ TEST(TelemetryServe, StatsFrameCarriesFrameCountsUptimeAndInflight) {
   engine::ServeOptions options;
   options.threads = 1;
 
-  std::istringstream solve_in("instance a\n" + instance_text());
-  std::ostringstream solve_out;
-  engine::serve(engine::SolverRegistry::builtin(), solve_in, solve_out, options,
-                &warm);
+  std::string solve_out;
+  testing::serve_text("instance a\n" + instance_text(), options, &solve_out, &warm);
 
-  std::istringstream in("stats s1\n");
-  std::ostringstream out;
-  engine::serve(engine::SolverRegistry::builtin(), in, out, options, &warm);
-
-  std::string line = out.str();
+  std::string line;
+  testing::serve_text("stats s1\n", options, &line, &warm);
   ASSERT_FALSE(line.empty());
   line.pop_back();  // trailing '\n'
   std::string error;

@@ -28,6 +28,7 @@
 // Instances are read from the given file or stdin ('-'); schedules are
 // written to stdout in the bisched schedule format, with a summary on
 // stderr. Malformed flag values are reported, never silently parsed as 0.
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -83,10 +84,8 @@ int usage() {
       "              [--eps=E] [--stable] [--store=DIR] [--allow-remote]\n"
       "              [--auth-token=T] [--session-max-inflight=K]\n"
       "              [--slow-ms=MS] (log solves slower than MS to stderr)\n"
-      "              [--serve-core=async|threads] (socket session engine;\n"
-      "               default async = epoll readiness loop, see docs/serve.md)\n"
-      "              [--idle-timeout-ms=MS] (async: reap sessions idle > MS)\n"
-      "              [--pipeline-depth=K] (async: park reads past K in-flight\n"
+      "              [--idle-timeout-ms=MS] (reap sessions idle > MS)\n"
+      "              [--pipeline-depth=K] (park reads past K in-flight\n"
       "               frames per session; default 64)\n"
       "              [--listen=unix:PATH | --listen=tcp:HOST:PORT]\n"
       "              (framed requests on stdin or the socket; see docs/api.md;\n"
@@ -524,16 +523,6 @@ int cmd_serve(int argc, char** argv) {
                "a count in [0, 2^20]");
   }
   options.session_max_inflight = static_cast<std::size_t>(session_quota);
-  std::string core;
-  if (flag_value(argc, argv, "serve-core", &core)) {
-    if (core == "async") {
-      options.core = engine::ServeOptions::Core::kAsync;
-    } else if (core == "threads") {
-      options.core = engine::ServeOptions::Core::kThreads;
-    } else {
-      flag_error("serve-core", core, "async or threads");
-    }
-  }
   const std::int64_t idle_ms = flag_int(argc, argv, "idle-timeout-ms", 0);
   if (idle_ms < 0 || idle_ms > 86400000) {
     flag_error("idle-timeout-ms", std::to_string(idle_ms), "ms in [0, 86400000]");
@@ -589,8 +578,13 @@ int cmd_serve(int argc, char** argv) {
       return 1;
     }
   } else {
-    stats = engine::serve(engine::SolverRegistry::builtin(), std::cin, std::cout,
-                          options, warm.get());
+    std::string error;
+    stats = engine::serve(engine::SolverRegistry::builtin(), STDIN_FILENO,
+                          STDOUT_FILENO, options, &error, warm.get());
+    if (!error.empty()) {
+      std::cerr << "serve: " << error << "\n";
+      return 1;
+    }
   }
   checkpoint_warm(*warm);
   std::cerr << "serve: " << stats.requests << " requests (" << stats.solve_frames
@@ -805,7 +799,7 @@ int cmd_client(int argc, char** argv) {
     engine::set_io_timeout(fd, static_cast<int>(read_ms), static_cast<int>(read_ms));
   }
 
-  engine::FdTransport transport(fd, "peer");
+  engine::FdTransport transport(fd);
   // Authenticate first when a token is at hand (flag, else environment):
   // an authed serve answers nothing before the `auth` frame, and a
   // token-less serve ignores it.
@@ -875,7 +869,7 @@ int cmd_metrics(int argc, char** argv) {
   if (read_ms > 0) {
     engine::set_io_timeout(fd, static_cast<int>(read_ms), static_cast<int>(read_ms));
   }
-  engine::FdTransport transport(fd, "peer");
+  engine::FdTransport transport(fd);
   transport.out() << "metrics\n";
   transport.out().flush();
   std::string line;
@@ -1294,6 +1288,12 @@ int cmd_eval(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // A closed stdio fd would be handed to the next descriptor the program
+  // opens (an epoll fd, a socket) and then be read or written as stdio: park
+  // /dev/null on it instead, so a closed stdin reads as EOF.
+  for (int fd = STDIN_FILENO; fd <= STDERR_FILENO; ++fd) {
+    if (::fcntl(fd, F_GETFD) < 0) ::open("/dev/null", O_RDWR);
+  }
   if (argc < 2) return usage();
   const std::string command = argv[1];
   if (command == "solve") return cmd_solve(argc, argv);

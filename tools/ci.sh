@@ -291,7 +291,7 @@ wait "$SERVER_PID" || {
   exit 1
 }
 SERVER_PID=
-# The no-auth guard: a wildcard bind without --allow-remote must be refused.
+# The loopback guard: a wildcard bind without --allow-remote must be refused.
 # Under `timeout`: if the guard ever regresses, serve would bind and sit in
 # its accept loop forever — CI must fail, not hang (124 lands in the else
 # branch, where the missing refusal message reports the regression).
@@ -662,13 +662,11 @@ grep -q 'bench-history: 2 recorded runs' "$SMOKE/stats.out" \
 }
 
 # ------------------------------------------------- async serve smoke ---
-# The epoll serve core (docs/serve.md) under real concurrency: one async
-# TCP server replays the saved sim trace over 64 concurrent connections
-# with zero errors, answers a pipelined client in send order, and exposes
-# the event-loop gauges in its scrape. (--serve-core=async is the socket
-# default; it is spelled out here so this smoke keeps covering the epoll
-# core even if that default ever changes.)
-"$CLI" serve --listen=tcp:127.0.0.1:0 --serve-core=async --threads=1 --stable \
+# The epoll serve loop (docs/serve.md) under real concurrency: one TCP
+# server replays the saved sim trace over 64 concurrent connections with
+# zero errors, answers a pipelined client in send order, and exposes the
+# event-loop gauges in its scrape.
+"$CLI" serve --listen=tcp:127.0.0.1:0 --threads=1 --stable \
   > "$SMOKE/async-server.out" 2> "$SMOKE/async-server.log" &
 SERVER_PID=$!
 tries=0
