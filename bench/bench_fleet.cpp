@@ -67,13 +67,6 @@ std::vector<std::string> build_requests(int count, int n_half, std::uint64_t see
   return frames;
 }
 
-double percentile(std::vector<double> sorted_ms, double q) {
-  if (sorted_ms.empty()) return 0;
-  std::sort(sorted_ms.begin(), sorted_ms.end());
-  const auto at = static_cast<std::size_t>(q * (sorted_ms.size() - 1) + 0.5);
-  return sorted_ms[std::min(at, sorted_ms.size() - 1)];
-}
-
 struct PassResult {
   double seconds = 0;
   double p50_ms = 0;
@@ -192,8 +185,8 @@ PassResult run_pass(RoutedFleet& fleet, const std::vector<std::string>& frames,
   pass.retries = after.retries - before.retries;
   pass.failovers = after.failovers - before.failovers;
   pass.degraded = after.degraded - before.degraded;
-  pass.p50_ms = percentile(latencies_ms, 0.50);
-  pass.p95_ms = percentile(latencies_ms, 0.95);
+  pass.p50_ms = bench::percentile(latencies_ms, 0.50);
+  pass.p95_ms = bench::percentile(latencies_ms, 0.95);
   pass.backend_sessions_per_request =
       sessions >= sessions_before
           ? static_cast<double>(sessions - sessions_before) /

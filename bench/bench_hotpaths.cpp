@@ -1,10 +1,14 @@
-// HOTPATHS — before/after microbenches for the two profiled hot paths: the
+// HOTPATHS — before/after microbenches for the profiled hot paths: the
 // R2/R3 FPTAS DP grid (the workhorse behind Theorem 22, Algorithm 1 step 3,
-// and every Q2 solver) and Dinic's min-cut (Algorithm 1's independent-set
-// step). "Before" is the seed kernel preserved verbatim in
+// and every Q2 solver), Dinic's min-cut (Algorithm 1's independent-set
+// step) and the exact branch-and-bound (the portfolio's first try for
+// n <= 64). "Before" is the seed kernel preserved verbatim in
 // tests/reference_kernels.hpp; "after" is the shipped library. Every
-// comparison also asserts the outputs are bit-identical — the differential
-// tests prove it exhaustively, this is the tripwire in the timing loop.
+// comparison also asserts the outputs agree — bit-identical for the DP and
+// min-cut kernels; for the B&B, every shipped schedule valid, of the makespan
+// it reports and not below the lower bound, and the seed's optimum wherever
+// the seed search finishes — the differential tests prove it exhaustively,
+// this is the tripwire in the timing loop.
 //
 // Emits BENCH_hotpaths.json (override with --json-out=PATH) with one row per
 // configuration: wall times, instance size, the speedup, and p50/p95/p99 of
@@ -15,18 +19,23 @@
 //
 //   --quick          CI-sized run (seconds, not minutes)
 //   --json-out=PATH  where to write the JSON report
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/exact_bb.hpp"
 #include "engine/telemetry/metrics.hpp"
 #include "graph/maxflow.hpp"
 #include "random/generators.hpp"
+#include "random/gilbert.hpp"
 #include "reference_kernels.hpp"
+#include "sched/lower_bounds.hpp"
 #include "sched/makespan_solvers.hpp"
 #include "sched/simd_dispatch.hpp"
+#include "util/check.hpp"
 #include "util/prng.hpp"
 
 namespace bisched {
@@ -372,19 +381,109 @@ void dinic_bench(bench::JsonReport& report, bool quick) {
   t.print(std::cout);
 }
 
+
+// The exact B&B on the two families the engine hands it. small-uniform is the
+// perfbench cold-mix shape: 32-64 unit jobs on a Gilbert G(n,n,2/n) bipartite
+// graph, 4 machines of speeds 1..8, at the engine's node budget — where the
+// seed search runs out of nodes. crown-16 (16 jobs, p 1..10, four speed-2
+// machines) is the routed-mix shape, which both searches prove in
+// microseconds.
+void exact_bb_bench(bench::JsonReport& report, bool quick) {
+  TextTable t("Exact branch-and-bound: seed DFS vs seeded incumbent + capacity/twin pruning");
+  t.set_header({"family", "calls", "budget", "variant", "nodes", "truncated", "p50 ms",
+                "p95 ms", "agree"});
+  // The engine's budget (engine/registry.cpp); --quick caps it so the seed's
+  // truncated calls stay short under the sanitizers.
+  const std::uint64_t budget = quick ? 200'000 : 20'000'000;
+  struct Family {
+    const char* name;
+    int calls;
+  };
+  const Family families[] = {{"small-uniform", quick ? 3 : 12}, {"crown-16", quick ? 40 : 400}};
+  for (const Family& family : families) {
+    std::vector<UniformInstance> insts;
+    for (int call = 0; call < family.calls; ++call) {
+      Rng rng(derive_seed(bench::kBenchSeed + 53, static_cast<std::uint64_t>(call)));
+      if (family.name == std::string("crown-16")) {
+        std::vector<std::int64_t> p(16);
+        for (auto& x : p) x = rng.uniform_int(1, 10);
+        insts.push_back(make_uniform_instance(std::move(p), {2, 2, 2, 2}, crown(8)));
+      } else {
+        const int side = 16 + (call * 16) / std::max(1, family.calls - 1);
+        std::vector<std::int64_t> speeds(4);
+        for (auto& sp : speeds) sp = rng.uniform_int(1, 8);
+        insts.push_back(make_uniform_instance(std::vector<std::int64_t>(2 * side, 1),
+                                              std::move(speeds),
+                                              gilbert_bipartite(side, p_critical(2.0, side), rng)));
+      }
+    }
+    std::vector<ExactUniformResult> seed_results;
+    bool agree = true;
+    for (const char* variant : {"seed", "shipped"}) {
+      const bool is_seed = variant == std::string("seed");
+      std::vector<double> ms;
+      std::uint64_t nodes = 0;
+      int truncated = 0;
+      for (std::size_t k = 0; k < insts.size(); ++k) {
+        Timer timer;
+        ExactUniformResult r =
+            is_seed ? reference::exact_uniform_bb(insts[k], budget,
+                                                  std::chrono::steady_clock::time_point::max())
+                    : exact_uniform_bb(insts[k], budget);
+        ms.push_back(timer.millis());
+        nodes += r.nodes;
+        truncated += r.truncated ? 1 : 0;
+        if (is_seed) {
+          seed_results.push_back(std::move(r));
+          continue;
+        }
+        // Every shipped answer, proven or truncated, is a valid schedule of
+        // the makespan it reports, at or above the lower bound; where the
+        // seed search finished, it is the same optimum.
+        BISCHED_CHECK(r.feasible && validate(insts[k], r.schedule) == ScheduleStatus::kValid &&
+                          makespan(insts[k], r.schedule) == r.cmax &&
+                          r.cmax >= lower_bound(insts[k]),
+                      "exact B&B returned an invalid or under-bound schedule");
+        if (!seed_results[k].truncated) {
+          agree = agree && r.feasible == seed_results[k].feasible &&
+                  (!r.feasible || r.cmax == seed_results[k].cmax);
+        }
+      }
+      const double p50 = bench::percentile(ms, 0.5);
+      const double p95 = bench::percentile(ms, 0.95);
+      t.add_row({family.name, fmt_count(family.calls), fmt_count(static_cast<long long>(budget)),
+                 variant, fmt_count(static_cast<long long>(nodes)), fmt_count(truncated),
+                 fmt_double(p50, 3), fmt_double(p95, 3), is_seed ? "-" : fmt_bool(agree)});
+      report.add({{"kernel", "exact_bb"},
+                  {"family", family.name},
+                  {"variant", variant},
+                  {"calls", family.calls},
+                  {"budget", static_cast<long long>(budget)},
+                  {"nodes", static_cast<long long>(nodes)},
+                  {"truncated", truncated},
+                  {"p50_ms", p50},
+                  {"p95_ms", p95},
+                  {"identical", agree}});
+    }
+    BISCHED_CHECK(agree, "exact B&B disagrees with the seed search on a finished instance");
+  }
+  t.print(std::cout);
+}
 }  // namespace
 }  // namespace bisched
 
 int main(int argc, char** argv) {
   using namespace bisched;
   const bool quick = bench::parse_switch(argc, argv, "quick");
-  bench::banner("HOTPATHS — DP-grid and min-cut kernels, before vs. after",
+  bench::banner("HOTPATHS — DP-grid, min-cut and exact B&B kernels, before vs. after",
                 "Arena + in-place window-pruned DP and CSR Dinic return "
-                "bit-identical results at a fraction of the seed cost");
+                "bit-identical results at a fraction of the seed cost; the pruned "
+                "B&B proves the optima the seed search runs out of nodes on");
   bench::JsonReport report("hotpaths", argc, argv);
   r2_kernel_bench(report, quick);
   r3_kernel_bench(report, quick);
   probe_mode_bench(report, quick);
   dinic_bench(report, quick);
+  exact_bb_bench(report, quick);
   return report.write() ? 0 : 1;
 }

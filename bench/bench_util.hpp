@@ -7,6 +7,7 @@
 // diff runs without scraping tables (tools/ci.sh validates the hot-path one).
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -69,6 +70,15 @@ inline void banner(const std::string& experiment, const std::string& claim) {
 
 // Seeds are fixed so that the printed tables are reproducible run-to-run.
 constexpr std::uint64_t kBenchSeed = 0xB15C4EDu;
+
+// Nearest-rank percentile of raw samples (exact, unlike the telemetry
+// histogram ladder, which is too coarse for microsecond calls).
+inline double percentile(std::vector<double> samples, double q) {
+  if (samples.empty()) return 0;
+  std::sort(samples.begin(), samples.end());
+  const auto rank = static_cast<std::size_t>(q * static_cast<double>(samples.size() - 1) + 0.5);
+  return samples[std::min(rank, samples.size() - 1)];
+}
 
 // ---- machine-readable bench output ----------------------------------------
 //

@@ -1,13 +1,21 @@
 #include "core/exact_bb.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <tuple>
 
+#include "sched/list_schedule.hpp"
+#include "sched/lower_bounds.hpp"
 #include "util/check.hpp"
 
 namespace bisched {
 
 namespace {
+
+using i128 = __int128;
+
+constexpr std::int64_t kNoCap = std::numeric_limits<std::int64_t>::max();
 
 // Deadline polling cadence: steady_clock::now() costs ~20ns, a DFS node a
 // few ns, so checking every 4096 nodes keeps the overhead under 1% while
@@ -19,21 +27,12 @@ bool past_deadline(std::uint64_t nodes, std::chrono::steady_clock::time_point de
          (nodes & kDeadlinePollMask) == 0 && std::chrono::steady_clock::now() >= deadline;
 }
 
-std::vector<int> job_order_by_size(const std::vector<std::int64_t>& size, const Graph& g) {
-  std::vector<int> order(size.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    if (size[static_cast<std::size_t>(a)] != size[static_cast<std::size_t>(b)]) {
-      return size[static_cast<std::size_t>(a)] > size[static_cast<std::size_t>(b)];
-    }
-    if (g.degree(a) != g.degree(b)) return g.degree(a) > g.degree(b);
-    return a < b;
-  });
-  return order;
+std::int64_t saturate(i128 v) {
+  return v > kNoCap ? kNoCap : static_cast<std::int64_t>(v);
 }
 
-// Shared DFS state: conflict counters let O(deg) feasibility checks replace
-// O(jobs-on-machine) scans.
+// Conflict counters let O(deg) feasibility checks replace O(jobs-on-machine)
+// scans.
 class ConflictTracker {
  public:
   ConflictTracker(const Graph& g, int m, int n)
@@ -59,130 +58,268 @@ class ConflictTracker {
   std::vector<int> blocked_;
 };
 
-}  // namespace
+// The two load models the search runs over. A machine's load is an integer
+// (work for Q, time for R), so "finishes strictly before the incumbent" is
+// the integer capacity `cap`, and the search itself never touches Rational.
 
-ExactUniformResult exact_uniform_bb(const UniformInstance& inst, std::uint64_t max_nodes,
-                                    std::chrono::steady_clock::time_point deadline) {
-  const int n = inst.num_jobs();
-  const int m = inst.num_machines();
+struct UniformModel {
+  using Value = Rational;
+  using Result = ExactUniformResult;
+  const UniformInstance& inst;
+
+  std::int64_t time(int /*machine*/, int job) const {
+    return inst.p[static_cast<std::size_t>(job)];
+  }
+  std::int64_t min_time(int job) const { return inst.p[static_cast<std::size_t>(job)]; }
+  bool same_times(int a, int b) const { return time(0, a) == time(0, b); }
+  bool same_machine(int a, int b) const {
+    return inst.speeds[static_cast<std::size_t>(a)] == inst.speeds[static_cast<std::size_t>(b)];
+  }
+  Value finish(std::int64_t load, int machine) const {
+    return Rational(load, inst.speeds[static_cast<std::size_t>(machine)]);
+  }
+  // ⌈best·s_i⌉ − 1: the most work machine i holds while finishing before `best`.
+  std::int64_t cap(const Value& best, int machine) const {
+    const i128 work =
+        static_cast<i128>(best.num()) * inst.speeds[static_cast<std::size_t>(machine)];
+    return saturate((work + best.den() - 1) / best.den() - 1);
+  }
+  bool seed(Schedule& s) const { return greedy_conflict_lpt(inst, s); }
+  // The cheap bounds always; the max-weight-IS bound only when they leave a
+  // gap to the incumbent (it costs a min-cut).
+  Value lower_bound(const Value* incumbent) const {
+    Value bound = rat_max(lb_cover_all(inst), lb_pmax(inst));
+    if (incumbent == nullptr || bound < *incumbent) {
+      if (const auto off1 = lb_off_machine1(inst); off1.has_value()) bound = rat_max(bound, *off1);
+    }
+    return bound;
+  }
+};
+
+struct UnrelatedModel {
+  using Value = std::int64_t;
+  using Result = ExactUnrelatedResult;
+  const UnrelatedInstance& inst;
+
+  std::int64_t time(int machine, int job) const {
+    return inst.times[static_cast<std::size_t>(machine)][static_cast<std::size_t>(job)];
+  }
+  std::int64_t min_time(int job) const {
+    std::int64_t t = kNoCap;
+    for (int i = 0; i < inst.num_machines(); ++i) t = std::min(t, time(i, job));
+    return t;
+  }
+  bool same_times(int a, int b) const {
+    for (int i = 0; i < inst.num_machines(); ++i) {
+      if (time(i, a) != time(i, b)) return false;
+    }
+    return true;
+  }
+  bool same_machine(int a, int b) const {
+    return inst.times[static_cast<std::size_t>(a)] == inst.times[static_cast<std::size_t>(b)];
+  }
+  Value finish(std::int64_t load, int /*machine*/) const { return load; }
+  std::int64_t cap(Value best, int /*machine*/) const { return best - 1; }
+  // Conflict-aware earliest completion: each job (by descending fastest
+  // time) goes to the conflict-free machine it finishes on first.
+  bool seed(Schedule& s) const {
+    const int n = inst.num_jobs();
+    const int m = inst.num_machines();
+    std::vector<std::int64_t> fastest(static_cast<std::size_t>(n));
+    for (int j = 0; j < n; ++j) fastest[static_cast<std::size_t>(j)] = min_time(j);
+    std::vector<int> order(static_cast<std::size_t>(n));
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+      return fastest[static_cast<std::size_t>(a)] > fastest[static_cast<std::size_t>(b)];
+    });
+    s.machine_of.assign(static_cast<std::size_t>(n), -1);
+    std::vector<std::int64_t> loads(static_cast<std::size_t>(m), 0);
+    ConflictTracker conflicts(inst.conflicts, m, n);
+    for (int j : order) {
+      int pick = -1;
+      for (int i = 0; i < m; ++i) {
+        if (!conflicts.allowed(i, j)) continue;
+        if (pick < 0 || loads[static_cast<std::size_t>(i)] + time(i, j) <
+                            loads[static_cast<std::size_t>(pick)] + time(pick, j)) {
+          pick = i;
+        }
+      }
+      if (pick < 0) return false;
+      s.machine_of[static_cast<std::size_t>(j)] = pick;
+      loads[static_cast<std::size_t>(pick)] += time(pick, j);
+      conflicts.place(pick, j);
+    }
+    return true;
+  }
+  // Every job takes at least its fastest time somewhere: the largest such
+  // time, and their total spread evenly over the machines.
+  Value lower_bound(const Value* /*incumbent*/) const {
+    i128 total = 0;
+    std::int64_t longest = 0;
+    for (int j = 0; j < inst.num_jobs(); ++j) {
+      total += min_time(j);
+      longest = std::max(longest, min_time(j));
+    }
+    const int m = inst.num_machines();
+    return std::max(longest, saturate((total + m - 1) / m));
+  }
+};
+
+// Twin class of a job for symmetry breaking: isolated jobs share class n, the
+// leaves of vertex v share class v; anything else has no twin (-1). Jobs of
+// one class with equal times are interchangeable in every schedule.
+int twin_class(const Graph& g, int job) {
+  if (g.degree(job) == 0) return g.num_vertices();
+  if (g.degree(job) == 1) return g.neighbors(job)[0];
+  return -1;
+}
+
+// DFS over jobs, assigning machines under the independence constraint. See
+// exact_bb.hpp for the pruning rules.
+template <typename Model>
+typename Model::Result branch_and_bound(const Model& model, std::uint64_t max_nodes,
+                                        std::chrono::steady_clock::time_point deadline) {
+  using Value = typename Model::Value;
+  const Graph& g = model.inst.conflicts;
+  const int n = model.inst.num_jobs();
+  const int m = model.inst.num_machines();
   BISCHED_CHECK(n <= 64, "exact B&B oracle sized for n <= 64");
 
-  const std::vector<int> order = job_order_by_size(inst.p, inst.conflicts);
+  typename Model::Result best;
+  if (Schedule seeded; model.seed(seeded)) {
+    best.feasible = true;
+    best.cmax = makespan(model.inst, seeded);
+    best.schedule = std::move(seeded);
+  }
+  const Value bound = model.lower_bound(best.feasible ? &best.cmax : nullptr);
+  if (best.feasible && !(bound < best.cmax)) return best;
 
-  ExactUniformResult best;
+  // Isolated jobs last (any leftover capacity takes them), then the seed's
+  // largest-first, most-conflicted-first order; twins end up adjacent.
+  std::vector<int> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<std::int64_t> size(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) size[static_cast<std::size_t>(j)] = model.min_time(j);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const auto key = [&](int j) {
+      return std::make_tuple(g.degree(j) == 0, -size[static_cast<std::size_t>(j)], -g.degree(j),
+                             twin_class(g, j), j);
+    };
+    return key(a) < key(b);
+  });
+  // follows_twin[d]: order[d] is interchangeable with order[d-1], so it takes
+  // a machine index >= its predecessor's.
+  std::vector<char> follows_twin(static_cast<std::size_t>(n), 0);
+  for (int d = 1; d < n; ++d) {
+    const int a = order[static_cast<std::size_t>(d - 1)];
+    const int b = order[static_cast<std::size_t>(d)];
+    follows_twin[static_cast<std::size_t>(d)] =
+        twin_class(g, a) >= 0 && twin_class(g, a) == twin_class(g, b) && model.same_times(a, b);
+  }
+  std::vector<char> same_as_previous(static_cast<std::size_t>(m), 0);
+  for (int i = 1; i < m; ++i) {
+    same_as_previous[static_cast<std::size_t>(i)] = model.same_machine(i - 1, i);
+  }
+  // remaining[d]: the least total load the jobs order[d..] add anywhere.
+  std::vector<std::int64_t> remaining(static_cast<std::size_t>(n) + 1, 0);
+  for (int d = n - 1; d >= 0; --d) {
+    remaining[static_cast<std::size_t>(d)] = saturate(
+        static_cast<i128>(remaining[static_cast<std::size_t>(d) + 1]) +
+        size[static_cast<std::size_t>(order[static_cast<std::size_t>(d)])]);
+  }
+
+  std::vector<std::int64_t> cap(static_cast<std::size_t>(m), kNoCap);
+  i128 cap_sum = 0;
+  auto tighten = [&] {
+    cap_sum = 0;
+    for (int i = 0; i < m; ++i) {
+      cap[static_cast<std::size_t>(i)] = model.cap(best.cmax, i);
+      cap_sum += cap[static_cast<std::size_t>(i)];
+    }
+  };
+  if (best.feasible) tighten();
+
   Schedule current;
   current.machine_of.assign(static_cast<std::size_t>(n), -1);
   std::vector<std::int64_t> loads(static_cast<std::size_t>(m), 0);
-  ConflictTracker conflicts(inst.conflicts, m, n);
+  std::vector<int> jobs_on(static_cast<std::size_t>(m), 0);
+  i128 placed = 0;
+  ConflictTracker conflicts(g, m, n);
   std::uint64_t nodes = 0;
   bool aborted = false;
+  bool stop = false;
 
-  auto dfs = [&](auto&& self, int depth, const Rational& cmax_so_far) -> void {
-    if (aborted) return;
+  auto dfs = [&](auto&& self, int depth) -> void {
     ++nodes;
     if ((max_nodes != 0 && nodes > max_nodes) || past_deadline(nodes, deadline)) {
-      aborted = true;
+      aborted = stop = true;
       return;
     }
-    if (best.feasible && !(cmax_so_far < best.cmax)) return;
-    if (depth == n) {
+    // Stale subtree: a leaf found below an ancestor may have tightened the
+    // caps under loads that ancestor already placed.
+    for (int i = 0; i < m; ++i) {
+      if (loads[static_cast<std::size_t>(i)] > cap[static_cast<std::size_t>(i)]) return;
+    }
+    if (depth == n) {  // every machine is under its cap: a strict improvement
+      Value cmax = model.finish(loads[0], 0);
+      for (int i = 1; i < m; ++i) {
+        cmax = std::max(cmax, model.finish(loads[static_cast<std::size_t>(i)], i));
+      }
       best.feasible = true;
       best.schedule = current;
-      best.cmax = cmax_so_far;
+      best.cmax = cmax;
+      tighten();
+      stop = !(bound < best.cmax);
       return;
     }
+    if (best.feasible && cap_sum - placed < remaining[static_cast<std::size_t>(depth)]) return;
     const int job = order[static_cast<std::size_t>(depth)];
-    for (int i = 0; i < m; ++i) {
-      // Symmetry: among empty machines of equal speed, only the first.
-      if (loads[static_cast<std::size_t>(i)] == 0 && i > 0 &&
-          loads[static_cast<std::size_t>(i - 1)] == 0 &&
-          inst.speeds[static_cast<std::size_t>(i)] == inst.speeds[static_cast<std::size_t>(i - 1)]) {
-        continue;
-      }
+    const int first = follows_twin[static_cast<std::size_t>(depth)]
+                          ? current.machine_of[static_cast<std::size_t>(
+                                order[static_cast<std::size_t>(depth - 1)])]
+                          : 0;
+    for (int i = first; i < m && !stop; ++i) {
+      const auto mi = static_cast<std::size_t>(i);
+      // Symmetry: among empty interchangeable machines, only the first.
+      if (jobs_on[mi] == 0 && i > 0 && jobs_on[mi - 1] == 0 && same_as_previous[mi]) continue;
       if (!conflicts.allowed(i, job)) continue;
-      const std::int64_t pj = inst.p[static_cast<std::size_t>(job)];
-      loads[static_cast<std::size_t>(i)] += pj;
+      const std::int64_t t = model.time(i, job);
+      if (t > cap[mi] - loads[mi]) continue;
+      loads[mi] += t;
+      placed += t;
+      ++jobs_on[mi];
       current.machine_of[static_cast<std::size_t>(job)] = i;
       conflicts.place(i, job);
-      const Rational finish(loads[static_cast<std::size_t>(i)],
-                            inst.speeds[static_cast<std::size_t>(i)]);
-      self(self, depth + 1, rat_max(cmax_so_far, finish));
+      self(self, depth + 1);
       conflicts.remove(i, job);
       current.machine_of[static_cast<std::size_t>(job)] = -1;
-      loads[static_cast<std::size_t>(i)] -= pj;
+      --jobs_on[mi];
+      placed -= t;
+      loads[mi] -= t;
     }
   };
-  dfs(dfs, 0, Rational(0));
+  dfs(dfs, 0);
+  best.nodes = nodes;
   best.truncated = aborted;
   best.aborted = aborted && !best.feasible;
   if (best.feasible) {
-    BISCHED_DCHECK(validate(inst, best.schedule) == ScheduleStatus::kValid,
+    BISCHED_DCHECK(validate(model.inst, best.schedule) == ScheduleStatus::kValid,
                    "B&B produced an invalid schedule");
   }
   return best;
 }
 
+}  // namespace
+
+ExactUniformResult exact_uniform_bb(const UniformInstance& inst, std::uint64_t max_nodes,
+                                    std::chrono::steady_clock::time_point deadline) {
+  return branch_and_bound(UniformModel{inst}, max_nodes, deadline);
+}
+
 ExactUnrelatedResult exact_unrelated_bb(const UnrelatedInstance& inst,
                                         std::uint64_t max_nodes,
                                         std::chrono::steady_clock::time_point deadline) {
-  const int n = inst.num_jobs();
-  const int m = inst.num_machines();
-  BISCHED_CHECK(n <= 64, "exact B&B oracle sized for n <= 64");
-
-  std::vector<std::int64_t> min_time(static_cast<std::size_t>(n), 0);
-  for (int j = 0; j < n; ++j) {
-    std::int64_t mt = INT64_MAX;
-    for (int i = 0; i < m; ++i) {
-      mt = std::min(mt, inst.times[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]);
-    }
-    min_time[static_cast<std::size_t>(j)] = mt;
-  }
-  const std::vector<int> order = job_order_by_size(min_time, inst.conflicts);
-
-  ExactUnrelatedResult best;
-  Schedule current;
-  current.machine_of.assign(static_cast<std::size_t>(n), -1);
-  std::vector<std::int64_t> loads(static_cast<std::size_t>(m), 0);
-  ConflictTracker conflicts(inst.conflicts, m, n);
-  std::uint64_t nodes = 0;
-  bool aborted = false;
-
-  auto dfs = [&](auto&& self, int depth, std::int64_t cmax_so_far) -> void {
-    if (aborted) return;
-    ++nodes;
-    if ((max_nodes != 0 && nodes > max_nodes) || past_deadline(nodes, deadline)) {
-      aborted = true;
-      return;
-    }
-    if (best.feasible && cmax_so_far >= best.cmax) return;
-    if (depth == n) {
-      best.feasible = true;
-      best.schedule = current;
-      best.cmax = cmax_so_far;
-      return;
-    }
-    const int job = order[static_cast<std::size_t>(depth)];
-    for (int i = 0; i < m; ++i) {
-      if (!conflicts.allowed(i, job)) continue;
-      const std::int64_t t =
-          inst.times[static_cast<std::size_t>(i)][static_cast<std::size_t>(job)];
-      loads[static_cast<std::size_t>(i)] += t;
-      current.machine_of[static_cast<std::size_t>(job)] = i;
-      conflicts.place(i, job);
-      self(self, depth + 1, std::max(cmax_so_far, loads[static_cast<std::size_t>(i)]));
-      conflicts.remove(i, job);
-      current.machine_of[static_cast<std::size_t>(job)] = -1;
-      loads[static_cast<std::size_t>(i)] -= t;
-    }
-  };
-  dfs(dfs, 0, 0);
-  best.truncated = aborted;
-  best.aborted = aborted && !best.feasible;
-  if (best.feasible) {
-    BISCHED_DCHECK(validate(inst, best.schedule) == ScheduleStatus::kValid,
-                   "B&B produced an invalid schedule");
-  }
-  return best;
+  return branch_and_bound(UnrelatedModel{inst}, max_nodes, deadline);
 }
 
 }  // namespace bisched

@@ -1,11 +1,28 @@
-// Exact branch-and-bound solvers for small instances (test/bench oracles).
+// Exact branch-and-bound solvers for small instances (n <= 64): the test and
+// bench oracles, and the portfolio's first try on small requests.
 //
-// DFS over jobs in (processing time, degree)-descending order, assigning
-// machines under the independence constraint. Pruning: the partial makespan
-// and a fractional remaining-work bound against the incumbent; symmetry
-// breaking among equal-speed empty machines (uniform case). Exponential in
-// the worst case — these are the certified optimum providers for the
-// approximation-ratio experiments, not production solvers.
+// One DFS serves both models: jobs in order (isolated jobs last, then by
+// processing time — fastest time for R — and degree, descending), each
+// assigned a machine under the independence constraint. A machine's load is
+// an integer (work for Q, time for R), so the incumbent C turns into integer
+// capacities cap_i = ceil(C * s_i) - 1 (Q) or C - 1 (R): the most load
+// machine i can carry and still finish strictly before C.
+//   * Incumbent: seeded by a conflict-aware list schedule (greedy_conflict_lpt
+//     for Q, earliest completion for R); every leaf the search reaches
+//     improves it and recomputes the caps.
+//   * Root bound: max(cover-all, pmax), plus the off-M1 independent-set bound
+//     when those leave a gap (Q); max(largest fastest time, ceil(sum of
+//     fastest times / m)) (R). The search stops once the incumbent meets it.
+//   * Pruning: a placement must fit under its machine's cap; a node whose
+//     loads exceed the (since tightened) caps is cut; a node is cut when the
+//     total slack sum_i (cap_i - load_i) is below the work still to place
+//     (sum of fastest times for R).
+//   * Symmetry: among empty interchangeable machines (equal speed for Q,
+//     equal time rows for R) only the first is tried, and of two adjacent
+//     twins in the order — isolated jobs, or leaves of one vertex, with equal
+//     times — the second takes a machine index >= the first's.
+// Exponential in the worst case; a truncated search keeps its incumbent but
+// proves nothing.
 #pragma once
 
 #include <chrono>
@@ -24,6 +41,7 @@ struct ExactUniformResult {
                            // `schedule` is valid but NOT proven optimal
   Schedule schedule;
   Rational cmax;
+  std::uint64_t nodes = 0;  // DFS nodes visited (0 when the root bound closed it)
 };
 
 struct ExactUnrelatedResult {
@@ -32,6 +50,7 @@ struct ExactUnrelatedResult {
   bool truncated = false;
   Schedule schedule;
   std::int64_t cmax = 0;
+  std::uint64_t nodes = 0;
 };
 
 // max_nodes = 0 means unlimited. `deadline` (max() = none) is polled every

@@ -1,5 +1,6 @@
 #include "engine/fault.hpp"
 
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -89,6 +90,15 @@ const Plan& plan() {
   return g_plan;
 }
 
+// Exit status 42, every thread at once, as a real crash dies. Not _exit:
+// ThreadSanitizer intercepts it and keeps the process alive for its
+// atexit_sleep_ms (1 s by default) with the other threads still serving,
+// so a "crashed" backend would linger past the supervisor's reaping.
+[[noreturn]] void die() {
+  ::syscall(SYS_exit_group, 42);
+  ::_exit(42);
+}
+
 }  // namespace
 
 bool active() { return plan().active; }
@@ -99,7 +109,7 @@ Action on_solve_frame() {
   const long n = g_solve_frames.fetch_add(1, std::memory_order_relaxed) + 1;
   if (p.crash_after >= 0 && n > p.crash_after) {
     std::fflush(nullptr);
-    ::_exit(42);
+    die();
   }
   if (p.drop_after >= 0 && n > p.drop_after) return Action::kDropConnection;
   return Action::kNone;
@@ -119,7 +129,7 @@ JournalAction on_journal_append() {
   return n > p.torn_journal ? JournalAction::kTear : JournalAction::kAppendDurable;
 }
 
-void torn_exit() { ::_exit(42); }
+void torn_exit() { die(); }
 
 void refresh_from_env() {
   g_plan = parse_plan();

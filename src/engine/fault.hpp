@@ -5,7 +5,7 @@
 // only occur naturally. This module compiles a small set of *deterministic*
 // faults into the serving binary, armed exclusively through the environment:
 //
-//   BISCHED_FAULT=crash-after:K      _exit(42) on the (K+1)th solve frame —
+//   BISCHED_FAULT=crash-after:K      die (status 42) on the (K+1)th solve frame —
 //                                    the first K are answered normally
 //   BISCHED_FAULT=stall-ms:T         sleep T ms inside every solve (worker
 //                                    side), so timeouts/health checks trip
@@ -13,7 +13,7 @@
 //                                    a response on the (K+1)th solve frame
 //   BISCHED_FAULT=torn-journal:K     flush each store journal append, then
 //                                    write HALF of the (K+1)th record, flush
-//                                    it, and _exit(42) — a real process death
+//                                    it, and die (status 42) — a real process death
 //                                    mid-append for crash-recovery tests
 //
 // Specs combine with ';' (e.g. "stall-ms:50;crash-after:10"). A spec may be
@@ -49,7 +49,7 @@ void maybe_stall();
 // Store journal hook: counts one append. Returns kAppendDurable (caller
 // should flush the full record so the torn-tail test has a well-formed
 // prefix on disk) until the (K+1)th append, which tears: the caller writes
-// `record.substr(0, record.size()/2)`, flushes, and this module _exits(42).
+// `record.substr(0, record.size()/2)`, flushes, and this module dies with status 42.
 enum class JournalAction {
   kNone,           // no torn-journal fault armed
   kAppendDurable,  // write + flush the full record

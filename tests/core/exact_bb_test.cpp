@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "random/generators.hpp"
+#include "random/gilbert.hpp"
+#include "reference_kernels.hpp"
 #include "sched/makespan_solvers.hpp"
 #include "testing_util.hpp"
 #include "util/prng.hpp"
@@ -121,6 +127,203 @@ TEST(ExactUniform, SymmetryBreakingPreservesOptimum) {
   // Sides {0,1} and {2,3}: machine sets must separate sides; best split:
   // {4},{3},{2,1} -> 4... or {4},{3},{2},{1} -> 4.
   EXPECT_EQ(r.cmax, Rational(4));
+}
+
+
+TEST(ExactUniform, StaleSubtreeCutKeepsTheSearchSmall) {
+  // Weighted jobs on a Gilbert G(16,16,3/16) graph, 4 machines: leaves found
+  // deep in the search tighten the caps below loads placed near the root.
+  // Cutting those stale subtrees on node entry proves the optimum in 2 006
+  // nodes; without the cut the same search visits 1 694 692 (the answer
+  // stays optimal, so only the node count shows the difference).
+  Rng rng(derive_seed(11, 261));
+  const int side = 6 + static_cast<int>(rng.uniform_int(0, 10));
+  ASSERT_EQ(side, 16);
+  std::vector<std::int64_t> speeds(4);
+  for (auto& s : speeds) s = rng.uniform_int(1, 8);
+  std::vector<std::int64_t> p(2 * static_cast<std::size_t>(side));
+  const std::int64_t wmax = rng.uniform_int(1, 6);
+  for (auto& x : p) x = rng.uniform_int(1, wmax);
+  const auto inst = make_uniform_instance(std::move(p), std::move(speeds),
+                                          gilbert_bipartite(side, p_critical(3.0, side), rng));
+  const auto r = exact_uniform_bb(inst);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_FALSE(r.truncated);
+  EXPECT_LT(r.nodes, 20'000u);
+}
+
+// ---- differential check against the seed search ----------------------------
+//
+// The shipped search prunes with a seeded incumbent, a root lower bound,
+// integer capacities, the remaining-work slack and twin symmetry; the seed
+// DFS in tests/reference_kernels.hpp has none of them. Both run unlimited on
+// seeded random instances and must agree on feasibility and the optimal
+// makespan (the schedules themselves may differ between optima).
+
+enum class GraphKind { kBipartite, kGeneral, kIsolatedHeavy, kLeafHeavy, kDense };
+constexpr GraphKind kGraphKinds[] = {GraphKind::kBipartite, GraphKind::kGeneral,
+                                     GraphKind::kIsolatedHeavy, GraphKind::kLeafHeavy,
+                                     GraphKind::kDense};
+
+void add_edge_once(Graph& g, int u, int v) {
+  if (u != v && !g.has_edge(u, v)) g.add_edge(u, v);
+}
+
+Graph random_graph(int n, GraphKind kind, Rng& rng) {
+  Graph g(n);
+  switch (kind) {
+    case GraphKind::kBipartite: {  // sides [0, a) and [a, n)
+      const int a = static_cast<int>(rng.uniform_int(0, n));
+      const double q = rng.uniform_real01() * 0.6;
+      for (int u = 0; u < a; ++u) {
+        for (int v = a; v < n; ++v) {
+          if (rng.bernoulli(q)) add_edge_once(g, u, v);
+        }
+      }
+      break;
+    }
+    case GraphKind::kGeneral:
+    case GraphKind::kDense: {  // odd cycles likely; dense ones often infeasible
+      const double q = kind == GraphKind::kDense ? 0.5 + 0.4 * rng.uniform_real01()
+                                                 : 0.4 * rng.uniform_real01();
+      for (int u = 0; u < n; ++u) {
+        for (int v = u + 1; v < n; ++v) {
+          if (rng.bernoulli(q)) add_edge_once(g, u, v);
+        }
+      }
+      break;
+    }
+    case GraphKind::kIsolatedHeavy: {  // a small core, everything else isolated
+      const int core = static_cast<int>(rng.uniform_int(0, std::min(n, 4)));
+      for (int u = 0; u < core; ++u) {
+        for (int v = u + 1; v < core; ++v) {
+          if (rng.bernoulli(0.5)) add_edge_once(g, u, v);
+        }
+      }
+      break;
+    }
+    case GraphKind::kLeafHeavy: {  // leaves on two hubs, the odd extra edge
+      const int hubs = std::min(n, 2);
+      for (int v = hubs; v < n; ++v) {
+        if (rng.bernoulli(0.8)) add_edge_once(g, v, static_cast<int>(rng.uniform_int(0, hubs - 1)));
+      }
+      if (n >= 4 && rng.bernoulli(0.5)) {
+        add_edge_once(g, static_cast<int>(rng.uniform_int(0, n - 1)),
+                      static_cast<int>(rng.uniform_int(0, n - 1)));
+      }
+      break;
+    }
+  }
+  return g;
+}
+
+std::string describe(GraphKind kind, int n, int m, int iter) {
+  return "kind " + std::to_string(static_cast<int>(kind)) + " n " + std::to_string(n) +
+         " m " + std::to_string(m) + " iter " + std::to_string(iter);
+}
+
+TEST(ExactUniform, MatchesSeedSearchOnRandomInstances) {
+  Rng rng(20261019);
+  int feasible = 0;
+  int infeasible = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    const GraphKind kind = kGraphKinds[iter % 5];
+    const int n = static_cast<int>(rng.uniform_int(1, 12));
+    const int m = static_cast<int>(rng.uniform_int(1, 4));
+    // Unit, small-range (many equal-p twins) and wide-range weights.
+    constexpr std::int64_t kWeightMax[] = {1, 3, 20};
+    const std::int64_t wmax = kWeightMax[iter % 3];
+    std::vector<std::int64_t> p(static_cast<std::size_t>(n));
+    for (auto& x : p) x = rng.uniform_int(1, wmax);
+    std::vector<std::int64_t> speeds(static_cast<std::size_t>(m));
+    const bool equal_speeds = rng.bernoulli(0.5);
+    const std::int64_t s0 = rng.uniform_int(1, 4);
+    for (auto& s : speeds) s = equal_speeds ? s0 : rng.uniform_int(1, 6);
+    const auto inst = make_uniform_instance(std::move(p), std::move(speeds),
+                                            random_graph(n, kind, rng));
+    const std::string ctx = describe(kind, n, m, iter);
+
+    const auto seed = reference::exact_uniform_bb(inst, 0,
+                                                  std::chrono::steady_clock::time_point::max());
+    const auto r = exact_uniform_bb(inst);
+    ASSERT_FALSE(seed.truncated) << ctx;
+    EXPECT_FALSE(r.truncated) << ctx;
+    EXPECT_FALSE(r.aborted) << ctx;
+    ASSERT_EQ(r.feasible, seed.feasible) << ctx;
+    if (!r.feasible) {
+      ++infeasible;
+      continue;
+    }
+    ++feasible;
+    EXPECT_EQ(r.cmax, seed.cmax) << ctx;
+    EXPECT_EQ(validate(inst, r.schedule), ScheduleStatus::kValid) << ctx;
+    EXPECT_EQ(makespan(inst, r.schedule), r.cmax) << ctx;
+  }
+  // Both verdicts are exercised.
+  EXPECT_GT(feasible, 1500);
+  EXPECT_GT(infeasible, 150);
+}
+
+TEST(ExactUnrelated, MatchesSeedSearchOnRandomInstances) {
+  Rng rng(20261020);
+  int feasible = 0;
+  int infeasible = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    const GraphKind kind = kGraphKinds[iter % 5];
+    const int n = static_cast<int>(rng.uniform_int(1, 11));
+    const int m = static_cast<int>(rng.uniform_int(1, 4));
+    Graph g = random_graph(n, kind, rng);
+    std::vector<std::vector<std::int64_t>> times(
+        static_cast<std::size_t>(m), std::vector<std::int64_t>(static_cast<std::size_t>(n)));
+    constexpr std::int64_t kTimeMax[] = {1, 4, 15};
+    const std::int64_t tmax = kTimeMax[iter % 3];
+    for (auto& row : times) {
+      for (auto& t : row) t = rng.uniform_int(0, tmax);
+    }
+    // Twin-heavy kinds get identical time columns for vertices with the same
+    // neighborhood shape (isolated, or a leaf of vertex 0), so the twin rule
+    // fires; other machines sometimes repeat machine 0's row.
+    if (kind == GraphKind::kIsolatedHeavy || kind == GraphKind::kLeafHeavy) {
+      int isolated_rep = -1;
+      int leaf_rep = -1;
+      for (int j = 0; j < n; ++j) {
+        int* rep = nullptr;
+        if (g.degree(j) == 0) rep = &isolated_rep;
+        if (g.degree(j) == 1 && g.neighbors(j)[0] == 0) rep = &leaf_rep;
+        if (rep == nullptr || !rng.bernoulli(0.7)) continue;
+        if (*rep < 0) {
+          *rep = j;
+          continue;
+        }
+        for (auto& row : times) {
+          row[static_cast<std::size_t>(j)] = row[static_cast<std::size_t>(*rep)];
+        }
+      }
+    }
+    for (int i = 1; i < m; ++i) {
+      if (rng.bernoulli(0.3)) times[static_cast<std::size_t>(i)] = times[0];
+    }
+    const auto inst = make_unrelated_instance(std::move(times), std::move(g));
+    const std::string ctx = describe(kind, n, m, iter);
+
+    const auto seed = reference::exact_unrelated_bb(inst, 0,
+                                                    std::chrono::steady_clock::time_point::max());
+    const auto r = exact_unrelated_bb(inst);
+    ASSERT_FALSE(seed.truncated) << ctx;
+    EXPECT_FALSE(r.truncated) << ctx;
+    EXPECT_FALSE(r.aborted) << ctx;
+    ASSERT_EQ(r.feasible, seed.feasible) << ctx;
+    if (!r.feasible) {
+      ++infeasible;
+      continue;
+    }
+    ++feasible;
+    EXPECT_EQ(r.cmax, seed.cmax) << ctx;
+    EXPECT_EQ(validate(inst, r.schedule), ScheduleStatus::kValid) << ctx;
+    EXPECT_EQ(makespan(inst, r.schedule), r.cmax) << ctx;
+  }
+  EXPECT_GT(feasible, 1500);
+  EXPECT_GT(infeasible, 150);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include "core/exact_bb.hpp"
 #include "core/r2_algorithms.hpp"
 #include "random/generators.hpp"
+#include "random/gilbert.hpp"
+#include "sched/lower_bounds.hpp"
 #include "sched/schedule.hpp"
 #include "testing_util.hpp"
 #include "util/prng.hpp"
@@ -112,12 +114,21 @@ TEST(Portfolio, ExpiredDeadlineFailsFastInsteadOfStartingTheSolver) {
   EXPECT_NE(result.error.find("deadline"), std::string::npos);
 }
 
+// A path on 31 jobs, every p = 2, on 3 equal machines. Every load is even,
+// so the optimum (22: eleven jobs on one machine) sits above the cover-all
+// root bound (21), and no bound the search uses sees the parity: proving it
+// takes 123 815 061 nodes at an unlimited budget (~2 s in a Release build),
+// beyond the engine's 20M-node budget.
+UniformInstance even_path_instance() {
+  constexpr int kJobs = 31;
+  Graph path(kJobs);
+  for (int v = 0; v + 1 < kJobs; ++v) path.add_edge(v, v + 1);
+  return make_uniform_instance(std::vector<std::int64_t>(kJobs, 2), {1, 1, 1}, std::move(path));
+}
+
 TEST(Portfolio, DeadlineBindsInsideTheBranchAndBound) {
-  // 48 unit jobs, no conflicts, 3 equal machines: the B&B explores a huge
-  // symmetric space (its 20M-node engine budget runs for seconds), so only
-  // an in-solver deadline can stop it quickly.
-  const auto inst =
-      make_uniform_instance(std::vector<std::int64_t>(48, 1), {1, 1, 1}, Graph(48));
+  const auto inst = even_path_instance();
+  ASSERT_LT(lower_bound(inst), Rational(22));  // the root bound cannot close it
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(30);
   const auto result = exact_uniform_bb(inst, 0, deadline);
@@ -125,10 +136,47 @@ TEST(Portfolio, DeadlineBindsInsideTheBranchAndBound) {
       std::chrono::steady_clock::now() - deadline);
   // Well under the seconds the full search needs (generous bound: CI noise).
   EXPECT_LT(elapsed.count(), 2000);
-  // Aborted, or solved-to-optimality if this machine got lucky — never hung.
-  if (!result.feasible) {
-    EXPECT_TRUE(result.aborted);
+  // Stopped unproven, and the seeded incumbent survives the deadline.
+  EXPECT_TRUE(result.truncated);
+  ASSERT_TRUE(result.feasible);
+  EXPECT_EQ(validate(inst, result.schedule), ScheduleStatus::kValid);
+}
+
+TEST(Portfolio, BudgetTruncatedBranchAndBoundFallsThroughToAlg1) {
+  const auto inst = even_path_instance();
+  const auto result = engine::solve_auto(SolverRegistry::builtin(), inst, {});
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.solver, "alg1");
+  EXPECT_EQ(validate(inst, result.schedule), ScheduleStatus::kValid);
+}
+
+TEST(Portfolio, ExactProvesSmallUnitGilbertInstancesOnFourMachines) {
+  // The perfbench cold-mix small-uniform shape: 32-64 unit jobs on a Gilbert
+  // G(n,n,2/n) bipartite graph, 4 machines of speeds 1..8. The portfolio
+  // tries the B&B first; on these twelve draws every proof it finishes meets
+  // the root lower bound. An unfinished search (one draw runs out of its
+  // budget) must hand the request to alg1.
+  int proven = 0;
+  for (std::uint64_t k = 0; k < 12; ++k) {
+    Rng rng(derive_seed(2, k));
+    const int side = 16 + static_cast<int>(rng.uniform_int(0, 16));
+    std::vector<std::int64_t> speeds(4);
+    for (auto& s : speeds) s = rng.uniform_int(1, 8);
+    const auto inst = make_uniform_instance(
+        std::vector<std::int64_t>(2 * static_cast<std::size_t>(side), 1), std::move(speeds),
+        gilbert_bipartite(side, p_critical(2.0, side), rng));
+    const auto result = engine::solve_auto(SolverRegistry::builtin(), inst, {});
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(validate(inst, result.schedule), ScheduleStatus::kValid);
+    EXPECT_EQ(makespan(inst, result.schedule), result.cmax);
+    if (result.solver == "exact") {
+      ++proven;
+      EXPECT_EQ(result.cmax, lower_bound(inst)) << "draw " << k;
+    } else {
+      EXPECT_EQ(result.solver, "alg1") << "draw " << k;
+    }
   }
+  EXPECT_GE(proven, 10);
 }
 
 TEST(Portfolio, RunAllBudgetDerivesPerSolverDeadlines) {

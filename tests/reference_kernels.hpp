@@ -8,18 +8,24 @@
 // as the ground truth for that contract; the differential tests
 // (tests/sched/kernel_differential_test.cpp, tests/graph/maxflow_test.cpp)
 // compare the optimized library against it on randomized instances, and
-// bench/bench_hotpaths.cpp measures the speedup against it. Deliberately
+// bench/bench_hotpaths.cpp measures the speedup against it. The seed exact
+// branch-and-bound (core/exact_bb) is kept the same way, with a weaker
+// contract: the rewritten search must agree on feasibility and on the optimal
+// makespan, not on which optimal schedule it returns. Deliberately
 // unoptimized — do not "fix" or speed these up; their value is being the old
 // behavior.
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <queue>
 #include <span>
 #include <vector>
 
+#include "core/exact_bb.hpp"
 #include "sched/makespan_solvers.hpp"
 #include "util/check.hpp"
 
@@ -445,5 +451,189 @@ class Dinic {
   std::vector<int> level_;
   std::vector<int> iter_;
 };
+
+// ---- seed exact branch-and-bound (plain DFS, partial-makespan pruning) ----
+//
+// The uncapped DFS the shipped src/core/exact_bb.cpp replaced: no seeded
+// incumbent, no root bound, no capacity-slack or twin pruning. Its optimal
+// makespans and feasibility verdicts are the ground truth for
+// tests/core/exact_bb_test.cpp and the "before" side of bench_hotpaths' exact_bb
+// rows.
+
+// Deadline polling cadence: steady_clock::now() costs ~20ns, a DFS node a
+// few ns, so checking every 4096 nodes keeps the overhead under 1% while
+// bounding deadline overshoot to microseconds.
+inline constexpr std::uint64_t kDeadlinePollMask = 4095;
+
+inline bool past_deadline(std::uint64_t nodes, std::chrono::steady_clock::time_point deadline) {
+  return deadline != std::chrono::steady_clock::time_point::max() &&
+         (nodes & kDeadlinePollMask) == 0 && std::chrono::steady_clock::now() >= deadline;
+}
+
+inline std::vector<int> job_order_by_size(const std::vector<std::int64_t>& size, const Graph& g) {
+  std::vector<int> order(size.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    if (size[static_cast<std::size_t>(a)] != size[static_cast<std::size_t>(b)]) {
+      return size[static_cast<std::size_t>(a)] > size[static_cast<std::size_t>(b)];
+    }
+    if (g.degree(a) != g.degree(b)) return g.degree(a) > g.degree(b);
+    return a < b;
+  });
+  return order;
+}
+
+// Shared DFS state: conflict counters let O(deg) feasibility checks replace
+// O(jobs-on-machine) scans.
+class ConflictTracker {
+ public:
+  ConflictTracker(const Graph& g, int m, int n)
+      : graph_(g), n_(n), blocked_(static_cast<std::size_t>(m) * static_cast<std::size_t>(n), 0) {}
+
+  bool allowed(int machine, int job) const {
+    return blocked_[index(machine, job)] == 0;
+  }
+  void place(int machine, int job) {
+    for (int v : graph_.neighbors(job)) ++blocked_[index(machine, v)];
+  }
+  void remove(int machine, int job) {
+    for (int v : graph_.neighbors(job)) --blocked_[index(machine, v)];
+  }
+
+ private:
+  std::size_t index(int machine, int job) const {
+    return static_cast<std::size_t>(machine) * static_cast<std::size_t>(n_) +
+           static_cast<std::size_t>(job);
+  }
+  const Graph& graph_;
+  int n_;
+  std::vector<int> blocked_;
+};
+
+inline ExactUniformResult exact_uniform_bb(const UniformInstance& inst, std::uint64_t max_nodes,
+                                           std::chrono::steady_clock::time_point deadline) {
+  const int n = inst.num_jobs();
+  const int m = inst.num_machines();
+  BISCHED_CHECK(n <= 64, "exact B&B oracle sized for n <= 64");
+
+  const std::vector<int> order = job_order_by_size(inst.p, inst.conflicts);
+
+  ExactUniformResult best;
+  Schedule current;
+  current.machine_of.assign(static_cast<std::size_t>(n), -1);
+  std::vector<std::int64_t> loads(static_cast<std::size_t>(m), 0);
+  ConflictTracker conflicts(inst.conflicts, m, n);
+  std::uint64_t nodes = 0;
+  bool aborted = false;
+
+  auto dfs = [&](auto&& self, int depth, const Rational& cmax_so_far) -> void {
+    if (aborted) return;
+    ++nodes;
+    if ((max_nodes != 0 && nodes > max_nodes) || past_deadline(nodes, deadline)) {
+      aborted = true;
+      return;
+    }
+    if (best.feasible && !(cmax_so_far < best.cmax)) return;
+    if (depth == n) {
+      best.feasible = true;
+      best.schedule = current;
+      best.cmax = cmax_so_far;
+      return;
+    }
+    const int job = order[static_cast<std::size_t>(depth)];
+    for (int i = 0; i < m; ++i) {
+      // Symmetry: among empty machines of equal speed, only the first.
+      if (loads[static_cast<std::size_t>(i)] == 0 && i > 0 &&
+          loads[static_cast<std::size_t>(i - 1)] == 0 &&
+          inst.speeds[static_cast<std::size_t>(i)] == inst.speeds[static_cast<std::size_t>(i - 1)]) {
+        continue;
+      }
+      if (!conflicts.allowed(i, job)) continue;
+      const std::int64_t pj = inst.p[static_cast<std::size_t>(job)];
+      loads[static_cast<std::size_t>(i)] += pj;
+      current.machine_of[static_cast<std::size_t>(job)] = i;
+      conflicts.place(i, job);
+      const Rational finish(loads[static_cast<std::size_t>(i)],
+                            inst.speeds[static_cast<std::size_t>(i)]);
+      self(self, depth + 1, rat_max(cmax_so_far, finish));
+      conflicts.remove(i, job);
+      current.machine_of[static_cast<std::size_t>(job)] = -1;
+      loads[static_cast<std::size_t>(i)] -= pj;
+    }
+  };
+  dfs(dfs, 0, Rational(0));
+  best.nodes = nodes;  // the one line added to the seed: its node count
+  best.truncated = aborted;
+  best.aborted = aborted && !best.feasible;
+  if (best.feasible) {
+    BISCHED_DCHECK(validate(inst, best.schedule) == ScheduleStatus::kValid,
+                   "B&B produced an invalid schedule");
+  }
+  return best;
+}
+
+inline ExactUnrelatedResult exact_unrelated_bb(const UnrelatedInstance& inst,
+                                               std::uint64_t max_nodes,
+                                               std::chrono::steady_clock::time_point deadline) {
+  const int n = inst.num_jobs();
+  const int m = inst.num_machines();
+  BISCHED_CHECK(n <= 64, "exact B&B oracle sized for n <= 64");
+
+  std::vector<std::int64_t> min_time(static_cast<std::size_t>(n), 0);
+  for (int j = 0; j < n; ++j) {
+    std::int64_t mt = INT64_MAX;
+    for (int i = 0; i < m; ++i) {
+      mt = std::min(mt, inst.times[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]);
+    }
+    min_time[static_cast<std::size_t>(j)] = mt;
+  }
+  const std::vector<int> order = job_order_by_size(min_time, inst.conflicts);
+
+  ExactUnrelatedResult best;
+  Schedule current;
+  current.machine_of.assign(static_cast<std::size_t>(n), -1);
+  std::vector<std::int64_t> loads(static_cast<std::size_t>(m), 0);
+  ConflictTracker conflicts(inst.conflicts, m, n);
+  std::uint64_t nodes = 0;
+  bool aborted = false;
+
+  auto dfs = [&](auto&& self, int depth, std::int64_t cmax_so_far) -> void {
+    if (aborted) return;
+    ++nodes;
+    if ((max_nodes != 0 && nodes > max_nodes) || past_deadline(nodes, deadline)) {
+      aborted = true;
+      return;
+    }
+    if (best.feasible && cmax_so_far >= best.cmax) return;
+    if (depth == n) {
+      best.feasible = true;
+      best.schedule = current;
+      best.cmax = cmax_so_far;
+      return;
+    }
+    const int job = order[static_cast<std::size_t>(depth)];
+    for (int i = 0; i < m; ++i) {
+      if (!conflicts.allowed(i, job)) continue;
+      const std::int64_t t =
+          inst.times[static_cast<std::size_t>(i)][static_cast<std::size_t>(job)];
+      loads[static_cast<std::size_t>(i)] += t;
+      current.machine_of[static_cast<std::size_t>(job)] = i;
+      conflicts.place(i, job);
+      self(self, depth + 1, std::max(cmax_so_far, loads[static_cast<std::size_t>(i)]));
+      conflicts.remove(i, job);
+      current.machine_of[static_cast<std::size_t>(job)] = -1;
+      loads[static_cast<std::size_t>(i)] -= t;
+    }
+  };
+  dfs(dfs, 0, 0);
+  best.nodes = nodes;  // the one line added to the seed: its node count
+  best.truncated = aborted;
+  best.aborted = aborted && !best.feasible;
+  if (best.feasible) {
+    BISCHED_DCHECK(validate(inst, best.schedule) == ScheduleStatus::kValid,
+                   "B&B produced an invalid schedule");
+  }
+  return best;
+}
 
 }  // namespace bisched::reference

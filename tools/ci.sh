@@ -446,6 +446,18 @@ grep -q '"mode": "value-only"' "$BENCH_JSON" \
   cat "$BENCH_JSON" >&2
   exit 1
 }
+# The exact B&B rows: seed and shipped search on both families (the bench
+# itself aborts if the two disagree on an optimum the seed search finished).
+for family in small-uniform crown-16; do
+  for variant in seed shipped; do
+    grep -q "\"kernel\": \"exact_bb\", \"family\": \"$family\", \"variant\": \"$variant\"" \
+      "$BENCH_JSON" || {
+      echo "ci.sh: bench smoke failed: $BENCH_JSON lacks the exact_bb $family $variant row" >&2
+      cat "$BENCH_JSON" >&2
+      exit 1
+    }
+  done
+done
 
 # ---------------------------------------------------- store bench smoke ---
 # The store trajectory must stay machine-readable too: the warm-up bench in
