@@ -1,8 +1,8 @@
 // HOTPATHS — before/after microbenches for the profiled hot paths: the
 // R2/R3 FPTAS DP grid (the workhorse behind Theorem 22, Algorithm 1 step 3,
-// and every Q2 solver), Dinic's min-cut (Algorithm 1's independent-set
-// step) and the exact branch-and-bound (the portfolio's first try for
-// n <= 64). "Before" is the seed kernel preserved verbatim in
+// and every Q2 solver), the exact R2 DP (the r2exact/q2r2exact kernel),
+// Dinic's min-cut (Algorithm 1's independent-set step) and the exact
+// branch-and-bound (the portfolio's first try for n <= 64). "Before" is the seed kernel preserved verbatim in
 // tests/reference_kernels.hpp; "after" is the shipped library. Every
 // comparison also asserts the outputs agree — bit-identical for the DP and
 // min-cut kernels; for the B&B, every shipped schedule valid, of the makespan
@@ -27,6 +27,7 @@
 
 #include "bench_util.hpp"
 #include "core/exact_bb.hpp"
+#include "core/r2_algorithms.hpp"
 #include "engine/telemetry/metrics.hpp"
 #include "graph/maxflow.hpp"
 #include "random/generators.hpp"
@@ -126,6 +127,94 @@ void r2_kernel_bench(bench::JsonReport& report, bool quick) {
                   {"eps", eps},
                   {"trials", trials},
                   {"seed_ms", seed_ms},
+                  {"opt_ms", opt_ms},
+                  {"p50_ms", lat.percentile(0.5)},
+                  {"p95_ms", lat.percentile(0.95)},
+                  {"p99_ms", lat.percentile(0.99)},
+                  {"speedup", speedup},
+                  {"identical", identical}});
+    }
+  }
+  t.print(std::cout);
+}
+
+// The exact R2 kernel's input for a cold-mix-shaped instance: perfbench's
+// R2 family (2*side jobs, times 0..1000 on both machines, side/2 conflicts
+// across the halves) after the Algorithm-3 reduction, as r2_exact_bipartite
+// hands it to r2_exact.
+std::vector<R2Job> cold_mix_r2_kernel_jobs(int side, Rng& rng) {
+  const int n = 2 * side;
+  std::vector<std::vector<std::int64_t>> times(2, std::vector<std::int64_t>(
+                                                      static_cast<std::size_t>(n)));
+  for (auto& row : times) {
+    for (auto& x : row) x = rng.uniform_int(0, 1000);
+  }
+  const Graph halves = random_bipartite_edges(side, side, side / 2, rng);
+  return r2_exact_dp_jobs(
+      reduce_r2_bipartite(make_unrelated_instance(std::move(times), halves)));
+}
+
+// r2_exact: the seed's binary search over push-kernel probes (tests/
+// reference_kernels.hpp) against the shipped single DP pass at the greedy
+// makespan, per ISA. The seed answers are timed once per instance — they
+// do not depend on the dispatch level — and every row reports whether the
+// one pass returned the seed's cmax and assignment on all of its trials.
+void r2_exact_bench(bench::JsonReport& report, bool quick) {
+  TextTable t("R2 exact: seed binary search vs one DP pass, cold-mix R2 shape, per ISA");
+  t.set_header(
+      {"isa", "side", "kernel jobs", "trials", "seed ms", "opt ms", "speedup", "identical"});
+  const int trials = quick ? 2 : 5;
+  const std::vector<int> sides = quick ? std::vector<int>{70} : std::vector<int>{70, 110, 150};
+  struct Config {
+    int side = 0;
+    std::vector<std::vector<R2Job>> instances;
+    std::vector<R2Result> seed;
+    double seed_ms = 0;
+  };
+  std::vector<Config> configs;
+  for (const int side : sides) {
+    Config c;
+    c.side = side;
+    for (int trial = 0; trial < trials; ++trial) {
+      Rng rng(derive_seed(bench::kBenchSeed + 61, static_cast<std::uint64_t>(side) * 131 +
+                                                      static_cast<std::uint64_t>(trial)));
+      c.instances.push_back(cold_mix_r2_kernel_jobs(side, rng));
+      Timer timer;
+      c.seed.push_back(reference::r2_exact(c.instances.back()));
+      c.seed_ms += timer.millis();
+    }
+    configs.push_back(std::move(c));
+  }
+  for (const SimdLevel level : simd_available_levels()) {
+    ScopedSimd forced(level);
+    const char* isa = to_string(level);
+    for (const Config& c : configs) {
+      double opt_ms = 0;
+      bool identical = true;
+      std::size_t kernel_jobs = 0;
+      telemetry::Histogram latency(telemetry::Histogram::default_latency_bounds_ms());
+      for (std::size_t trial = 0; trial < c.instances.size(); ++trial) {
+        kernel_jobs += c.instances[trial].size();
+        Timer timer;
+        const R2Result after = r2_exact(c.instances[trial]);
+        const double trial_ms = timer.millis();
+        opt_ms += trial_ms;
+        latency.observe(trial_ms);
+        identical = identical && c.seed[trial].cmax == after.cmax &&
+                    c.seed[trial].on_machine2 == after.on_machine2;
+      }
+      const auto mean_jobs = static_cast<long long>(kernel_jobs / c.instances.size());
+      const double speedup = opt_ms > 0 ? c.seed_ms / opt_ms : 0;
+      const auto lat = latency.snapshot();
+      t.add_row({isa, fmt_count(c.side), fmt_count(mean_jobs), fmt_count(trials),
+                 fmt_double(c.seed_ms, 2), fmt_double(opt_ms, 2), fmt_ratio(speedup),
+                 fmt_bool(identical)});
+      report.add({{"kernel", "r2_exact"},
+                  {"isa", isa},
+                  {"side", c.side},
+                  {"n", mean_jobs},
+                  {"trials", trials},
+                  {"seed_ms", c.seed_ms},
                   {"opt_ms", opt_ms},
                   {"p50_ms", lat.percentile(0.5)},
                   {"p95_ms", lat.percentile(0.95)},
@@ -481,6 +570,7 @@ int main(int argc, char** argv) {
                 "B&B proves the optima the seed search runs out of nodes on");
   bench::JsonReport report("hotpaths", argc, argv);
   r2_kernel_bench(report, quick);
+  r2_exact_bench(report, quick);
   r3_kernel_bench(report, quick);
   probe_mode_bench(report, quick);
   dinic_bench(report, quick);

@@ -65,33 +65,33 @@ R2ScheduleResult r2_fptas_bipartite(const UnrelatedInstance& inst, double eps) {
   return result;
 }
 
-R2ScheduleResult r2_exact_bipartite(const UnrelatedInstance& inst) {
-  const R2Reduction red = reduce_r2_bipartite(inst);
-
-  // Solve the decision jobs exactly; base loads are pinned with anchors the
-  // exact DP will never misplace (any optimum is <= base + extras total).
+std::vector<R2Job> r2_exact_dp_jobs(const R2Reduction& red) {
+  // Base loads are pinned with anchors the exact DP will never misplace (any
+  // optimum is <= base + extras total).
   std::vector<R2Job> jobs;
-  std::vector<std::size_t> component_of_job;
   std::int64_t extras_total = 0;
-  for (std::size_t c = 0; c < red.components.size(); ++c) {
-    if (red.components[c].forced) continue;
-    jobs.push_back(red.components[c].reduced);
-    component_of_job.push_back(c);
-    extras_total += std::max(red.components[c].reduced.p1, red.components[c].reduced.p2);
+  for (const ReducedComponent& comp : red.components) {
+    if (comp.forced) continue;
+    jobs.push_back(comp.reduced);
+    extras_total += std::max(comp.reduced.p1, comp.reduced.p2);
   }
   const std::int64_t prohibitive = red.base1 + red.base2 + extras_total + 1;
-  const std::size_t anchor1 = jobs.size();
   jobs.push_back({red.base1, prohibitive});
-  const std::size_t anchor2 = jobs.size();
   jobs.push_back({prohibitive, red.base2});
+  return jobs;
+}
 
+R2ScheduleResult r2_exact_bipartite(const UnrelatedInstance& inst) {
+  const R2Reduction red = reduce_r2_bipartite(inst);
+  const std::vector<R2Job> jobs = r2_exact_dp_jobs(red);
   const R2Result solved = r2_exact(jobs);
-  BISCHED_CHECK(solved.on_machine2[anchor1] == 0, "anchor 1 strayed from machine 1");
-  BISCHED_CHECK(solved.on_machine2[anchor2] == 1, "anchor 2 strayed from machine 2");
+  BISCHED_CHECK(solved.on_machine2[jobs.size() - 2] == 0, "anchor 1 strayed from machine 1");
+  BISCHED_CHECK(solved.on_machine2[jobs.size() - 1] == 1, "anchor 2 strayed from machine 2");
 
   std::vector<std::uint8_t> on_m2(red.components.size(), 0);
-  for (std::size_t idx = 0; idx < component_of_job.size(); ++idx) {
-    on_m2[component_of_job[idx]] = solved.on_machine2[idx];
+  std::size_t idx = 0;
+  for (std::size_t c = 0; c < red.components.size(); ++c) {
+    if (!red.components[c].forced) on_m2[c] = solved.on_machine2[idx++];
   }
   R2ScheduleResult result;
   result.schedule = reconstruct_r2_schedule(inst, red, on_m2);

@@ -33,9 +33,15 @@ R2ScheduleResult r2_two_approx(const UnrelatedInstance& inst);
 R2ScheduleResult r2_fptas_bipartite(const UnrelatedInstance& inst, double eps);
 
 // Exact optimum via the same reduction plus the pseudo-polynomial R2||Cmax
-// DP over the decision jobs (O(n * OPT) time/memory). Not part of the paper's
-// algorithm suite — it is the certified-optimum oracle the benchmarks compare
-// Algorithms 4/5 against at sizes beyond branch-and-bound reach.
+// DP over the decision jobs (one pass, O(n * UB) time and bits, UB their
+// greedy makespan). Not part of the paper's algorithm suite — it is the
+// certified-optimum oracle the benchmarks compare Algorithms 4/5 against at
+// sizes beyond branch-and-bound reach.
 R2ScheduleResult r2_exact_bipartite(const UnrelatedInstance& inst);
+
+// The exact DP's input for a reduction: the decision job of every component
+// that is not forced, in component order, then two anchors pinning base1 to
+// machine 1 and base2 to machine 2.
+std::vector<R2Job> r2_exact_dp_jobs(const R2Reduction& red);
 
 }  // namespace bisched

@@ -2,15 +2,40 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <utility>
 
+#include "engine/graph_classes.hpp"
 #include "engine/telemetry/trace.hpp"
+#include "graph/bipartite.hpp"
 #include "util/timer.hpp"
 
 namespace bisched::engine {
 
 namespace {
+
+// The bipartite-only solvers abort on an odd cycle (alg_sqrt, r2_reduction),
+// and the profile that admitted them may be a cached one keyed by a 64-bit
+// instance hash, which can collide — so its bipartite bit may describe
+// another graph. Before the first such solver of a request runs, the
+// instance itself is 2-coloured, once; on an odd cycle each of them fails
+// cleanly instead, and the portfolio falls through to the rest.
+class BipartiteGate {
+ public:
+  template <typename Instance>
+  bool refuses(const Solver& solver, const Instance& inst) {
+    if (!GraphClassLattice::builtin().subsumes(kGraphBipartite,
+                                               solver.capabilities().graph)) {
+      return false;
+    }
+    if (!bipartite_.has_value()) bipartite_ = bipartition(inst.conflicts).has_value();
+    return !*bipartite_;
+  }
+
+ private:
+  std::optional<bool> bipartite_;
+};
 
 // Runs one solver under a child span of options.trace (named after the
 // solver — this IS the DP/flow kernel timing), with the span handed down via
@@ -19,7 +44,14 @@ namespace {
 // budget went, not just who won.
 template <typename Instance>
 SolveResult timed_solve(const Solver& solver, const Instance& inst,
-                        const SolveOptions& options) {
+                        const SolveOptions& options, BipartiteGate& gate) {
+  if (gate.refuses(solver, inst)) {
+    SolveResult r;
+    r.error = "conflict graph is not bipartite";
+    r.solver = solver.name();
+    r.guarantee = solver.capabilities().guarantee_label;
+    return r;
+  }
   if (options.trace == nullptr) return solver.solve(inst, options);
   telemetry::TraceSpan* span = options.trace->child(solver.name());
   SolveOptions traced = options;
@@ -57,6 +89,7 @@ SolveResult solve_auto_impl(const SolverRegistry& registry, const Instance& inst
   SolveResult best;
   int tried = 0;
   std::string first_error;
+  BipartiteGate gate;
   for (const Solver* solver : eligible) {
     if (tried > 0) {
       if (!options.run_all && best.ok) break;  // best-guarantee solver succeeded
@@ -65,7 +98,7 @@ SolveResult solve_auto_impl(const SolverRegistry& registry, const Instance& inst
         break;
       }
     }
-    SolveResult r = timed_solve(*solver, inst, per_solver);
+    SolveResult r = timed_solve(*solver, inst, per_solver, gate);
     ++tried;
     if (r.ok && (!best.ok || r.cmax < best.cmax)) {
       best = std::move(r);
@@ -100,7 +133,8 @@ SolveResult solve_named_impl(const SolverRegistry& registry, std::string_view na
     r.error = "solver '" + std::string(name) + "' is not applicable: " + why;
     return r;
   }
-  return timed_solve(*solver, inst, options);
+  BipartiteGate gate;
+  return timed_solve(*solver, inst, options, gate);
 }
 
 }  // namespace

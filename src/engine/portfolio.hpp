@@ -17,6 +17,12 @@
 // mismatched request returns a diagnosable error instead of tripping the
 // library's BISCHED_CHECK aborts.
 //
+// Both paths 2-colour the instance itself, once per request, before the
+// first solver whose graph class implies bipartiteness runs: a cached
+// profile is keyed by a 64-bit hash that can collide, so its class bits may
+// describe another graph. On an odd cycle those solvers fail with "conflict
+// graph is not bipartite" instead of aborting the process.
+//
 // Every entry point has a sibling overload taking a precomputed
 // `InstanceProfile` — the hot batch/serve paths feed profiles from
 // engine/profile_cache.hpp so an instance seen before is never re-probed.

@@ -229,7 +229,8 @@ void register_builtin(SolverRegistry& reg) {
                  return success(std::move(r.schedule), Rational(r.cmax));
                },
                [](const InstanceProfile& profile, std::string* why) {
-                 // The DP is O(n * OPT); total_work bounds OPT from above.
+                 // One DP pass, O(n * greedy makespan) time and bits; total_work
+                 // bounds the greedy makespan from above.
                  const double state = (static_cast<double>(profile.jobs) + 1) *
                                       (static_cast<double>(profile.total_work) + 1);
                  if (state <= 2.5e8) return true;
@@ -272,8 +273,8 @@ void register_builtin(SolverRegistry& reg) {
                nullptr,
                [](const InstanceProfile& profile, std::string* why) {
                  // The embedding scales times by lcm(s1, s2); the R2 DP is
-                 // O(n * scaled makespan) and total_work * lcm bounds the
-                 // scaled makespan from above.
+                 // O(n * scaled greedy makespan) and total_work * lcm bounds
+                 // that makespan from above.
                  const double scaled = static_cast<double>(profile.total_work) *
                                        static_cast<double>(std::max<std::int64_t>(
                                            1, profile.speed_lcm));

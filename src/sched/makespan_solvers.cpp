@@ -15,8 +15,8 @@ using i64 = std::int64_t;
 constexpr i64 kInf = std::numeric_limits<i64>::max() / 4;
 
 // Caller-owned scratch for the R2/R3 feasibility kernels. One arena is
-// threaded through every probe of a binary search, so the DP row, the packed
-// choice matrix, and the scaled-time vectors are allocated once at the
+// threaded through every probe of an FPTAS binary search, so the DP row, the
+// packed choice matrix, and the scaled-time vectors are allocated once at the
 // high-water size and then reused; `assignment` retains the reconstruction of
 // the last *accepted* probe, which lets the searches return it directly
 // instead of re-running a terminal feasible(lo) probe (docs/perf.md).
@@ -250,7 +250,13 @@ R2RowFn r2_row_for_level() {
 // touches the choice matrix — the dominant memory traffic of a probe — and
 // only answers feasibility. O(n * hi) time; n * budget bits of arena memory
 // are only committed by choice-writing probes.
-bool scaled_feasible(DpArena& arena, i64 budget, bool write_choices) {
+//
+// With `optimum` non-null the pass also stores the least makespan its final
+// row holds, min over reachable l1 of max(l1, f[l1]), and accepts and
+// reconstructs at that makespan instead of the budget. A state l1 reads only
+// states <= l1, so the assignment is the one a pass at that budget gives.
+bool scaled_feasible(DpArena& arena, i64 budget, bool write_choices,
+                     i64* optimum = nullptr) {
   BISCHED_CHECK(budget >= 0, "negative DP budget");
   const std::size_t n = arena.s1.size();
   const auto width = static_cast<std::size_t>(budget) + 1;
@@ -294,9 +300,16 @@ bool scaled_feasible(DpArena& arena, i64 budget, bool write_choices) {
     hi = hi_next;
   }
 
+  i64 accept = budget;
+  if (optimum != nullptr) {
+    for (std::size_t cand = 0; cand <= hi && static_cast<i64>(cand) < accept; ++cand) {
+      accept = std::min(accept, std::max(static_cast<i64>(cand), cur[cand]));
+    }
+    *optimum = accept;
+  }
   std::size_t l1 = width;
   for (std::size_t cand = 0; cand <= hi; ++cand) {
-    if (arena.cur[cand] <= budget) {
+    if (arena.cur[cand] <= accept) {
       l1 = cand;
       break;
     }
@@ -342,7 +355,7 @@ R2Result r2_greedy(std::span<const R2Job> jobs) {
   return finalize(jobs, std::move(on_m2));
 }
 
-R2Result r2_exact(std::span<const R2Job> jobs, ProbeMode mode) {
+R2Result r2_exact(std::span<const R2Job> jobs) {
   for (const auto& job : jobs) BISCHED_CHECK(job.p1 >= 0 && job.p2 >= 0, "negative time");
   const R2Result ub = r2_greedy(jobs);
   if (ub.cmax == 0) return ub;
@@ -354,31 +367,15 @@ R2Result r2_exact(std::span<const R2Job> jobs, ProbeMode mode) {
     arena.s1[j] = jobs[j].p1;
     arena.s2[j] = jobs[j].p2;
   }
-  // Exact binary search over the makespan with the delta = 1 oracle. Eager
-  // probes leave each acceptance's reconstruction in the arena, so the
-  // assignment for the final hi (== the optimum) is already in hand when the
-  // search ends; value-only probes answer feasibility alone, and one
-  // terminal choice-writing probe at lo — deterministically the same DP the
-  // last acceptance ran — materializes the identical assignment.
-  const bool eager = mode == ProbeMode::kEager;
-  i64 lo = 0, hi = ub.cmax;
-  bool accepted = false;
-  while (lo < hi) {
-    const i64 mid = lo + (hi - lo) / 2;
-    if (scaled_feasible(arena, mid, /*write_choices=*/eager)) {
-      hi = mid;
-      accepted = true;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  if (accepted && !eager) {
-    const bool ok = scaled_feasible(arena, lo, /*write_choices=*/true);
-    BISCHED_CHECK(ok, "exact DP terminal materialization failed");
-  }
-  R2Result r = finalize(jobs, accepted ? std::move(arena.assignment)
-                                       : std::vector<std::uint8_t>(ub.on_machine2));
-  BISCHED_CHECK(r.cmax == lo, "exact DP produced inconsistent optimum");
+  // One choice-writing pass at the greedy makespan finds the optimum
+  // (scaled_feasible). If greedy is already optimal its own assignment is
+  // kept, as the seed's search, which never accepts a smaller budget, did.
+  i64 opt = 0;
+  const bool ok = scaled_feasible(arena, ub.cmax, /*write_choices=*/true, &opt);
+  BISCHED_CHECK(ok, "exact DP found no schedule within the greedy makespan");
+  R2Result r = finalize(jobs, opt < ub.cmax ? std::move(arena.assignment)
+                                            : std::vector<std::uint8_t>(ub.on_machine2));
+  BISCHED_CHECK(r.cmax == opt, "exact DP produced inconsistent optimum");
   return r;
 }
 

@@ -9,17 +9,23 @@
 //
 // Contracts:
 //   r2_greedy  — makespan <= sum_j min(p1_j, p2_j) <= 2 * OPT.
-//   r2_exact   — optimal; O(n * UB) time/space with UB the greedy makespan.
+//   r2_exact   — optimal; one O(n * UB) DP pass, n * UB bits of choices,
+//                with UB the greedy makespan.
 //   r2_fptas   — makespan <= (1+eps) * OPT; O(n^2/eps * log UB) time.
 //
-// The binary searches share one scratch arena across all feasibility probes
-// (no per-probe allocation), the DP kernels run in place over the reachable
-// load window only, and the R2 searches default to *value-only* probes: no
-// choice matrix is written while the search narrows, and one terminal probe
-// at the accepted makespan materializes the choices for reconstruction
-// (Hirschberg-style — recompute once for the answer instead of recording
-// always). The DP row kernels dispatch at runtime over
-// sched/simd_dispatch.hpp (scalar / AVX2 / AVX-512, `BISCHED_SIMD`
+// r2_exact needs no search: at delta = 1 the final row of one DP pass at
+// budget UB holds, for every machine-1 load l1, the least machine-2 load, so
+// OPT = min over l1 of max(l1, f[l1]) is read straight off it and the same
+// pass's choice bits reconstruct the assignment (the seed binary search's
+// answer, bit for bit; greedy's own assignment when greedy is optimal). The
+// FPTASes still binary-search the makespan, because their rounding step
+// depends on the probed makespan. Their probes share one scratch arena (no
+// per-probe allocation) and by default skip the choice matrix while the
+// search narrows; one terminal probe at the accepted makespan writes the
+// choices for reconstruction (Hirschberg-style — recompute once for the
+// answer instead of recording always). The DP kernels run in place over the
+// reachable load window only, and the R2 row kernels dispatch at runtime
+// over sched/simd_dispatch.hpp (scalar / AVX2 / AVX-512, `BISCHED_SIMD`
 // overridable); every level and both probe modes return bit-identical
 // results — see docs/perf.md for the kernel design and measurements.
 #pragma once
@@ -30,7 +36,7 @@
 
 namespace bisched {
 
-// How the binary searches drive the DP feasibility probes.
+// How the FPTAS binary searches drive their DP feasibility probes.
 //   kValueOnly — search probes skip the choice matrix entirely (half the
 //                memory traffic in the dense R2 row); one terminal
 //                choice-writing probe at the accepted budget reconstructs.
@@ -38,10 +44,11 @@ namespace bisched {
 //                reconstruction is returned directly (the PR-3 behavior).
 // Both modes return bit-identical results at every SIMD level (the
 // differential tests sweep the full matrix). Defaults are per solver, set
-// by measurement (bench_hotpaths probe-mode ablation): the R2 solvers
-// default to kValueOnly (the choice bits are ~half the row traffic), r3
-// defaults to kEager (2-bit packed writes in the sparse push loop are too
-// cheap to pay back the extra terminal probe) — see docs/perf.md.
+// by measurement (bench_hotpaths probe-mode ablation): r2_fptas defaults to
+// kValueOnly (the choice bits are ~half the row traffic), r3_fptas to
+// kEager (2-bit packed writes in the sparse push loop are too cheap to pay
+// back the extra terminal probe) — see docs/perf.md. r2_exact runs a single
+// choice-writing pass and takes no mode.
 enum class ProbeMode { kValueOnly, kEager };
 
 struct R2Job {
@@ -57,8 +64,7 @@ struct R2Result {
 };
 
 R2Result r2_greedy(std::span<const R2Job> jobs);
-R2Result r2_exact(std::span<const R2Job> jobs,
-                  ProbeMode mode = ProbeMode::kValueOnly);
+R2Result r2_exact(std::span<const R2Job> jobs);
 R2Result r2_fptas(std::span<const R2Job> jobs, double eps,
                   ProbeMode mode = ProbeMode::kValueOnly);
 

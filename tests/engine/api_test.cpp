@@ -14,6 +14,7 @@
 
 #include "engine/registry.hpp"
 #include "io/jsonl.hpp"
+#include "sched/instance_hash.hpp"
 #include "testing_util.hpp"
 #include "util/prng.hpp"
 
@@ -264,6 +265,64 @@ TEST(ApiExecution, RunRequestResolvesEverySourceForm) {
   EXPECT_NE(engine::run_request(registry, warm, empty, "auto", {}).error.find(
                 "no instance source"),
             std::string::npos);
+}
+
+// Two 8192-job instances whose 64-bit instance hashes collide (found by a
+// generalized-birthday search over the commutative edge-sum fold): A is
+// bipartite, B has a triangle. Solved through one WarmState at different
+// eps, only B's profile lookup hits A's entry, so B arrives at the
+// portfolio labelled bipartite. alg1 aborts the process on an odd cycle, so
+// the portfolio must refuse it cleanly, and nothing may answer B with alg1.
+UniformInstance collision_instance(std::initializer_list<std::pair<int, int>> extra) {
+  constexpr int kSide = 4096;
+  Graph g(2 * kSide);
+  for (int r = kSide; r < 2 * kSide; ++r) g.add_edge(0, r);
+  for (int l = 1; l < kSide; ++l) g.add_edge(l, kSide);
+  for (const auto& [u, v] : extra) g.add_edge(u, v);
+  return make_uniform_instance(std::vector<std::int64_t>(2 * kSide, 1), {4, 3, 2, 1},
+                               std::move(g));
+}
+
+TEST(ApiExecution, CollidingProfileCannotAbortABipartiteSolver) {
+  const UniformInstance a = collision_instance({{426, 7067}, {117, 5592}});
+  const UniformInstance b = collision_instance({{397, 1503}, {2997, 3850}});
+  ASSERT_EQ(instance_hash(a), 0xa9dd4cf579ba1dc8ULL);
+  ASSERT_EQ(instance_hash(b), 0xa9dd4cf579ba1dc8ULL);
+
+  const auto& registry = engine::SolverRegistry::builtin();
+  engine::WarmState warm;
+  const auto request = [](const UniformInstance& inst, double eps) {
+    auto parsed = std::make_shared<ParsedInstance>();
+    parsed->uniform = inst;
+    SolveRequest req;
+    req.parsed = std::move(parsed);
+    req.has_eps = true;
+    req.eps = eps;
+    return req;
+  };
+  const SolveResponse first = engine::run_request(registry, warm, request(a, 0.1), "auto", {});
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_EQ(first.solver, "alg1");
+
+  engine::SolveResult full;
+  const SolveResponse second =
+      engine::run_request(registry, warm, request(b, 0.2), "auto", {}, &full);
+  EXPECT_EQ(second.cache_tier, engine::CacheTier::kMemory);  // the colliding profile
+  EXPECT_FALSE(second.ok && second.solver == "alg1");
+  if (second.ok) {
+    EXPECT_EQ(validate(b, full.schedule), ScheduleStatus::kValid) << second.solver;
+  } else {
+    EXPECT_NE(second.error.find("conflict graph is not bipartite"), std::string::npos)
+        << second.error;
+  }
+
+  // Named dispatch takes the same gate.
+  SolveRequest named = request(b, 0.3);
+  named.alg = "alg1";
+  const SolveResponse third = engine::run_request(registry, warm, named, "auto", {});
+  EXPECT_FALSE(third.ok);
+  EXPECT_NE(third.error.find("conflict graph is not bipartite"), std::string::npos)
+      << third.error;
 }
 
 }  // namespace

@@ -8,10 +8,12 @@
 // boundary).
 //
 // Every check runs at EVERY dispatch level this host supports (scalar, AVX2,
-// AVX-512 — forced through the BISCHED_SIMD override and a refresh) and in
-// BOTH probe modes (value-only search probes vs the eager choice-writing
-// probes), so the bit-identity contract covers the full dispatch × mode
-// matrix, not just whatever this CPU happens to resolve to.
+// AVX-512 — forced through the BISCHED_SIMD override and a refresh); the
+// FPTAS checks also run in BOTH probe modes (value-only search probes vs the
+// eager choice-writing probes), so the bit-identity contract covers the full
+// dispatch × mode matrix, not just whatever this CPU happens to resolve to.
+// r2_exact has no probe modes: its one DP pass at the greedy makespan must
+// reproduce the seed's binary search at every level.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -106,12 +108,47 @@ TEST(KernelDifferential, R2ExactMatchesSeedBitForBitAtEveryLevel) {
       // range forces many exact ties.
       const std::int64_t tmax = 1 + rng.uniform_int(0, 40);
       const auto jobs = random_r2_jobs(n, 0, tmax, rng);
-      const R2Result want = reference::r2_exact(jobs);
-      for (const ProbeMode mode : kModes) {
-        expect_r2_identical(want, r2_exact(jobs, mode), "r2_exact", isa,
-                            mode_name(mode), trial);
-      }
+      expect_r2_identical(reference::r2_exact(jobs), r2_exact(jobs), "r2_exact", isa,
+                          "one-pass", trial);
     }
+  });
+}
+
+TEST(KernelDifferential, R2ExactWideRowsExerciseVectorBlocks) {
+  // Cold-mix-sized instances: times up to 1000 make the exact row tens of
+  // thousands of states wide, so the AVX2/AVX-512 main loops carry nearly
+  // all of it (the trials above keep times <= 41), and the one pass at the
+  // greedy makespan also fills states above the optimum that the seed's
+  // probes never had. The seed answers are computed once, outside the level
+  // sweep — they are the slow half.
+  Rng rng(1007);
+  std::vector<std::vector<R2Job>> instances;
+  std::vector<R2Result> want;
+  for (int trial = 0; trial < 6; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(140, 300));
+    instances.push_back(random_r2_jobs(n, 1, 1000, rng));
+    want.push_back(reference::r2_exact(instances.back()));
+  }
+  for_each_simd_level([&](const char* isa) {
+    for (std::size_t trial = 0; trial < instances.size(); ++trial) {
+      expect_r2_identical(want[trial], r2_exact(instances[trial]), "r2_exact_wide", isa,
+                          "one-pass", static_cast<int>(trial));
+    }
+  });
+}
+
+TEST(KernelDifferential, R2ExactReturnsGreedyWhenGreedyIsOptimal) {
+  // {6, 6}: greedy keeps the tie on machine 1, loads (6, 0); the pass's own
+  // reconstruction would pick the least machine-1 load, (0, 6). Both are
+  // optimal, but the seed's search never accepts a budget below 6 and so
+  // answers with greedy's assignment — as must the one pass.
+  const std::vector<R2Job> tie = {{6, 6}};
+  for_each_simd_level([&](const char* isa) {
+    const R2Result got = r2_exact(tie);
+    EXPECT_EQ(got.on_machine2, std::vector<std::uint8_t>{0}) << isa;
+    EXPECT_EQ(got.load1, 6) << isa;
+    EXPECT_EQ(got.load2, 0) << isa;
+    expect_r2_identical(reference::r2_exact(tie), got, "greedy_tie", isa, "one-pass", 0);
   });
 }
 
@@ -162,19 +199,20 @@ TEST(KernelDifferential, R2EdgeCasesAtEveryLevel) {
       const std::vector<R2Job> zeros(5, R2Job{0, 0});
       expect_r2_identical(reference::r2_fptas(zeros, 0.1), r2_fptas(zeros, 0.1, mode),
                           "zeros", isa, m, 0);
-      expect_r2_identical(reference::r2_exact(zeros), r2_exact(zeros, mode), "zeros",
-                          isa, m, 0);
 
       const std::vector<R2Job> same(7, R2Job{4, 4});
-      expect_r2_identical(reference::r2_exact(same), r2_exact(same, mode), "same", isa,
-                          m, 0);
       expect_r2_identical(reference::r2_fptas(same, 0.5), r2_fptas(same, 0.5, mode),
                           "same", isa, m, 0);
-
-      const std::vector<R2Job> one = {{9, 2}};
-      expect_r2_identical(reference::r2_exact(one), r2_exact(one, mode), "one", isa, m,
-                          0);
     }
+
+    const std::vector<R2Job> zeros(5, R2Job{0, 0});
+    expect_r2_identical(reference::r2_exact(zeros), r2_exact(zeros), "zeros", isa,
+                        "one-pass", 0);
+    const std::vector<R2Job> same(7, R2Job{4, 4});
+    expect_r2_identical(reference::r2_exact(same), r2_exact(same), "same", isa, "one-pass",
+                        0);
+    const std::vector<R2Job> one = {{9, 2}};
+    expect_r2_identical(reference::r2_exact(one), r2_exact(one), "one", isa, "one-pass", 0);
   });
 }
 

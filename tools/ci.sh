@@ -446,6 +446,18 @@ grep -q '"mode": "value-only"' "$BENCH_JSON" \
   cat "$BENCH_JSON" >&2
   exit 1
 }
+# The exact R2 row (seed binary search vs the one DP pass), and no row of
+# any kernel may report a shipped answer that differs from its reference.
+grep -q '"kernel": "r2_exact"' "$BENCH_JSON" || {
+  echo "ci.sh: bench smoke failed: $BENCH_JSON lacks the r2_exact row" >&2
+  cat "$BENCH_JSON" >&2
+  exit 1
+}
+if grep -q '"identical": false' "$BENCH_JSON"; then
+  echo "ci.sh: bench smoke failed: a $BENCH_JSON row reports \"identical\": false" >&2
+  grep '"identical": false' "$BENCH_JSON" >&2
+  exit 1
+fi
 # The exact B&B rows: seed and shipped search on both families (the bench
 # itself aborts if the two disagree on an optimum the seed search finished).
 for family in small-uniform crown-16; do
