@@ -558,6 +558,60 @@ void exact_bb_bench(bench::JsonReport& report, bool quick) {
   }
   t.print(std::cout);
 }
+
+// The exact B&B across cold-mix's small-uniform draws: unit jobs on a Gilbert
+// G(n,n,2/n) graph, 16..32 per side, four machines of speeds 1..8, at the
+// engine's node budget. The row counts the calls that ran out of budget and
+// those closed at the root (the seed or the fill at the bound, no DFS node),
+// and the per-call latency: the truncated calls set its tail.
+void exact_bb_draws_bench(bench::JsonReport& report, bool quick) {
+  TextTable t("Exact branch-and-bound across cold-mix small-uniform draws");
+  t.set_header({"family", "calls", "budget", "truncated", "root-closed", "p50 ms", "p95 ms",
+                "max ms"});
+  const int calls = quick ? 30 : 90;
+  const std::uint64_t budget = quick ? 200'000 : 20'000'000;
+  std::vector<double> ms;
+  int truncated = 0;
+  int root_closed = 0;
+  for (int call = 0; call < calls; ++call) {
+    Rng rng(derive_seed(bench::kBenchSeed + 59, static_cast<std::uint64_t>(call)));
+    const int side = 16 + static_cast<int>(rng.uniform_int(0, 16));
+    std::vector<std::int64_t> speeds(4);
+    for (auto& sp : speeds) sp = rng.uniform_int(1, 8);
+    const auto inst = make_uniform_instance(
+        std::vector<std::int64_t>(2 * static_cast<std::size_t>(side), 1), std::move(speeds),
+        gilbert_bipartite(side, p_critical(2.0, side), rng));
+    Timer timer;
+    const ExactUniformResult r = exact_uniform_bb(inst, budget);
+    ms.push_back(timer.millis());
+    truncated += r.truncated ? 1 : 0;
+    root_closed += r.nodes == 0 ? 1 : 0;
+    // Valid, of the makespan reported, not below the lower bound, and on it
+    // whenever no DFS node ran.
+    BISCHED_CHECK(r.feasible && validate(inst, r.schedule) == ScheduleStatus::kValid &&
+                      makespan(inst, r.schedule) == r.cmax && r.cmax >= lower_bound(inst) &&
+                      (r.nodes != 0 || r.cmax == lower_bound(inst)),
+                  "exact B&B returned an invalid or under-bound schedule");
+  }
+  const double p50 = bench::percentile(ms, 0.5);
+  const double p95 = bench::percentile(ms, 0.95);
+  const double max_ms = *std::max_element(ms.begin(), ms.end());
+  t.add_row({"cold-mix-draws", fmt_count(calls), fmt_count(static_cast<long long>(budget)),
+             fmt_count(truncated), fmt_count(root_closed), fmt_double(p50, 3),
+             fmt_double(p95, 3), fmt_double(max_ms, 3)});
+  report.add({{"kernel", "exact_bb"},
+              {"family", "cold-mix-draws"},
+              {"variant", "shipped"},
+              {"calls", calls},
+              {"budget", static_cast<long long>(budget)},
+              {"truncated", truncated},
+              {"root_closed", root_closed},
+              {"p50_ms", p50},
+              {"p95_ms", p95},
+              {"max_ms", max_ms}});
+  t.print(std::cout);
+}
+
 }  // namespace
 }  // namespace bisched
 
@@ -575,5 +629,6 @@ int main(int argc, char** argv) {
   probe_mode_bench(report, quick);
   dinic_bench(report, quick);
   exact_bb_bench(report, quick);
+  exact_bb_draws_bench(report, quick);
   return report.write() ? 0 : 1;
 }

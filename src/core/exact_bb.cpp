@@ -84,6 +84,11 @@ struct UniformModel {
         static_cast<i128>(best.num()) * inst.speeds[static_cast<std::size_t>(machine)];
     return saturate((work + best.den() - 1) / best.den() - 1);
   }
+  // ⌊bound·s_i⌋: the most work machine i finishes by `bound`.
+  std::int64_t cap_at(const Value& bound, int machine) const {
+    return saturate(static_cast<i128>(bound.num()) *
+                    inst.speeds[static_cast<std::size_t>(machine)] / bound.den());
+  }
   bool seed(Schedule& s) const { return greedy_conflict_lpt(inst, s); }
   // The cheap bounds always; the max-weight-IS bound only when they leave a
   // gap to the incumbent (it costs a min-cut).
@@ -120,6 +125,7 @@ struct UnrelatedModel {
   }
   Value finish(std::int64_t load, int /*machine*/) const { return load; }
   std::int64_t cap(Value best, int /*machine*/) const { return best - 1; }
+  std::int64_t cap_at(Value bound, int /*machine*/) const { return bound; }
   // Conflict-aware earliest completion: each job (by descending fastest
   // time) goes to the conflict-free machine it finishes on first.
   bool seed(Schedule& s) const {
@@ -172,6 +178,64 @@ int twin_class(const Graph& g, int job) {
   if (g.degree(job) == 0) return g.num_vertices();
   if (g.degree(job) == 1) return g.neighbors(job)[0];
   return -1;
+}
+
+// One capacitated DSATUR pass at the root bound (exact_bb.hpp, "Fill"):
+// machine i holds at most cap_at(bound, i), and the pass places the job that
+// fits the fewest machines (ties: larger fastest time `size`, then higher
+// degree, then lower index) on the machine it leaves the most slack on. True
+// with the schedule in `current` and its loads in `loads` once every job is
+// placed; false as soon as some job fits nowhere, with `current`, `loads` and
+// `conflicts` emptied again for the DFS. `cap` is left at the fill's caps.
+template <typename Model>
+bool fill_at_bound(const Model& model, const typename Model::Value& bound,
+                   const std::vector<std::int64_t>& size, std::vector<std::int64_t>& cap,
+                   Schedule& current, std::vector<std::int64_t>& loads,
+                   ConflictTracker& conflicts) {
+  const Graph& g = model.inst.conflicts;
+  const int n = model.inst.num_jobs();
+  const int m = model.inst.num_machines();
+  for (int i = 0; i < m; ++i) cap[static_cast<std::size_t>(i)] = model.cap_at(bound, i);
+  const auto slack = [&](int i, int job) {
+    return cap[static_cast<std::size_t>(i)] - loads[static_cast<std::size_t>(i)] -
+           model.time(i, job);
+  };
+  const auto fits = [&](int i, int job) { return conflicts.allowed(i, job) && slack(i, job) >= 0; };
+  const auto rank = [&](int fit_count, int job) {
+    return std::make_tuple(fit_count, -size[static_cast<std::size_t>(job)], -g.degree(job));
+  };
+
+  bool stuck = false;
+  for (int placed = 0; placed < n && !stuck; ++placed) {
+    int job = -1;
+    int job_fits = 0;
+    for (int j = 0; j < n && !stuck; ++j) {
+      if (current.machine_of[static_cast<std::size_t>(j)] >= 0) continue;
+      int fit_count = 0;
+      for (int i = 0; i < m; ++i) fit_count += fits(i, j) ? 1 : 0;
+      if (job < 0 || rank(fit_count, j) < rank(job_fits, job)) {
+        job = j;
+        job_fits = fit_count;
+      }
+      stuck = fit_count == 0;
+    }
+    if (stuck) break;
+    int pick = -1;
+    for (int i = 0; i < m; ++i) {
+      if (fits(i, job) && (pick < 0 || slack(i, job) > slack(pick, job))) pick = i;
+    }
+    current.machine_of[static_cast<std::size_t>(job)] = pick;
+    loads[static_cast<std::size_t>(pick)] += model.time(pick, job);
+    conflicts.place(pick, job);
+  }
+  if (!stuck) return true;
+  for (int j = 0; j < n; ++j) {
+    int& machine = current.machine_of[static_cast<std::size_t>(j)];
+    if (machine >= 0) conflicts.remove(machine, j);
+    machine = -1;
+  }
+  std::fill(loads.begin(), loads.end(), 0);
+  return false;
 }
 
 // DFS over jobs, assigning machines under the independence constraint. See
@@ -228,7 +292,32 @@ typename Model::Result branch_and_bound(const Model& model, std::uint64_t max_no
         size[static_cast<std::size_t>(order[static_cast<std::size_t>(d)])]);
   }
 
-  std::vector<std::int64_t> cap(static_cast<std::size_t>(m), kNoCap);
+  Schedule current;
+  current.machine_of.assign(static_cast<std::size_t>(n), -1);
+  std::vector<std::int64_t> loads(static_cast<std::size_t>(m), 0);
+  std::vector<int> jobs_on(static_cast<std::size_t>(m), 0);
+  i128 placed = 0;
+  ConflictTracker conflicts(g, m, n);
+  std::vector<std::int64_t> cap(static_cast<std::size_t>(m));
+  auto loads_makespan = [&] {
+    Value cmax = model.finish(loads[0], 0);
+    for (int i = 1; i < m; ++i) {
+      cmax = std::max(cmax, model.finish(loads[static_cast<std::size_t>(i)], i));
+    }
+    return cmax;
+  };
+
+  // A schedule at the bound is optimal: no search needed.
+  if (fill_at_bound(model, bound, size, cap, current, loads, conflicts)) {
+    best.feasible = true;
+    best.cmax = loads_makespan();
+    BISCHED_CHECK(!(bound < best.cmax), "B&B fill exceeded the root bound");
+    BISCHED_DCHECK(validate(model.inst, current) == ScheduleStatus::kValid,
+                   "B&B fill produced an invalid schedule");
+    best.schedule = std::move(current);
+    return best;
+  }
+
   i128 cap_sum = 0;
   auto tighten = [&] {
     cap_sum = 0;
@@ -237,14 +326,8 @@ typename Model::Result branch_and_bound(const Model& model, std::uint64_t max_no
       cap_sum += cap[static_cast<std::size_t>(i)];
     }
   };
+  std::fill(cap.begin(), cap.end(), kNoCap);
   if (best.feasible) tighten();
-
-  Schedule current;
-  current.machine_of.assign(static_cast<std::size_t>(n), -1);
-  std::vector<std::int64_t> loads(static_cast<std::size_t>(m), 0);
-  std::vector<int> jobs_on(static_cast<std::size_t>(m), 0);
-  i128 placed = 0;
-  ConflictTracker conflicts(g, m, n);
   std::uint64_t nodes = 0;
   bool aborted = false;
   bool stop = false;
@@ -261,13 +344,9 @@ typename Model::Result branch_and_bound(const Model& model, std::uint64_t max_no
       if (loads[static_cast<std::size_t>(i)] > cap[static_cast<std::size_t>(i)]) return;
     }
     if (depth == n) {  // every machine is under its cap: a strict improvement
-      Value cmax = model.finish(loads[0], 0);
-      for (int i = 1; i < m; ++i) {
-        cmax = std::max(cmax, model.finish(loads[static_cast<std::size_t>(i)], i));
-      }
       best.feasible = true;
       best.schedule = current;
-      best.cmax = cmax;
+      best.cmax = loads_makespan();
       tighten();
       stop = !(bound < best.cmax);
       return;

@@ -13,6 +13,13 @@
 //   * Root bound: max(cover-all, pmax), plus the off-M1 independent-set bound
 //     when those leave a gap (Q); max(largest fastest time, ceil(sum of
 //     fastest times / m)) (R). The search stops once the incumbent meets it.
+//   * Fill: when the seed misses the root bound B, one capacitated DSATUR
+//     pass runs before the DFS. Machine i holds at most cap_at(B, i) =
+//     floor(B * s_i) (Q) or B (R); the job that fits the fewest machines
+//     (conflict-free, within capacity; ties to larger fastest time, higher
+//     degree, lower index) goes to the machine it leaves the most slack on.
+//     If every job is placed the schedule meets B and is optimal; the pass
+//     stops at the first job that fits nowhere and the DFS runs as before.
 //   * Pruning: a placement must fit under its machine's cap; a node whose
 //     loads exceed the (since tightened) caps is cut; a node is cut when the
 //     total slack sum_i (cap_i - load_i) is below the work still to place
@@ -41,7 +48,8 @@ struct ExactUniformResult {
                            // `schedule` is valid but NOT proven optimal
   Schedule schedule;
   Rational cmax;
-  std::uint64_t nodes = 0;  // DFS nodes visited (0 when the root bound closed it)
+  std::uint64_t nodes = 0;  // DFS nodes visited (0 when the seed or the fill
+                            // met the root bound, so no DFS ran)
 };
 
 struct ExactUnrelatedResult {

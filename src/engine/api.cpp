@@ -9,6 +9,7 @@
 #include "engine/portfolio.hpp"
 #include "io/jsonl.hpp"
 #include "sched/instance_hash.hpp"
+#include "sched/schedule.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -207,8 +208,9 @@ void finish_row(SolveResponse& row, SolveResult result, SolveResult* full) {
   if (full != nullptr) *full = std::move(result);
 }
 
-// run_parsed, also reporting the instance's content hash (0 when the
-// request never reached the caches) for the fingerprint index.
+// run_parsed, also reporting the instance's content hash for the
+// fingerprint index (0 when the request never reached the caches, or when
+// its cached result failed verification and the answer must not be indexed).
 SolveResponse run_parsed_hashed(const SolverRegistry& registry, WarmState& warm,
                                 const std::string& alg, const SolveOptions& solve,
                                 const ParsedInstance& parsed, SolveResult* full,
@@ -246,9 +248,18 @@ SolveResponse run_parsed_hashed(const SolverRegistry& registry, WarmState& warm,
       result_span->set_detail(tier_label(tier));
       result_span->end();
     }
+    // A hit is served only if its schedule checks out on THIS instance: the
+    // key is a 64-bit hash, and a colliding entry belongs to another one.
+    // A failed check is solved afresh and neither stored nor indexed, so
+    // the entry still answers the instance it belongs to.
     if (hit.has_value()) {
-      row.result_tier = tier;
-      return std::move(*hit);
+      if (hit->ok && validate(inst, hit->schedule) == ScheduleStatus::kValid &&
+          Rational(makespan(inst, hit->schedule)) == hit->cmax) {
+        row.result_tier = tier;
+        return std::move(*hit);
+      }
+      warm.telemetry().cache_verify_failures().inc();
+      *hash = 0;
     }
     telemetry::TraceSpan* solve_span =
         parent != nullptr ? parent->child("solve") : nullptr;
@@ -261,7 +272,7 @@ SolveResponse run_parsed_hashed(const SolverRegistry& registry, WarmState& warm,
       if (!fresh.solver.empty()) solve_span->set_detail(fresh.solver);
       solve_span->end();
     }
-    {
+    if (!hit.has_value()) {
       telemetry::ScopedSpan store_span(parent, "store");
       warm.results().store(key, fresh);  // failures are not memoized
     }
@@ -364,7 +375,7 @@ SolveResponse run_source(const SolverRegistry& registry, WarmState& warm,
   std::uint64_t hash = 0;
   SolveResponse r =
       run_parsed_hashed(registry, warm, alg, solve, parsed, full, &root, &hash);
-  if (r.ok) {
+  if (r.ok && hash != 0) {
     index.insert(digest, {hash, static_cast<std::int32_t>(r.jobs),
                           static_cast<std::int32_t>(r.machines), r.model == "unrelated"});
   }

@@ -41,6 +41,9 @@ EngineMetrics::EngineMetrics()
           Histogram::default_latency_bounds_ms())),
       profile_(make_cache_series(registry_, "profile")),
       result_(make_cache_series(registry_, "result")),
+      cache_verify_failures_(registry_.counter(
+          "bisched_cache_verify_failures_total",
+          "Result-cache hits that failed verification against the request's instance")),
       fingerprint_hits_(registry_.counter("bisched_fingerprint_lookups_total",
                                           kFingerprintHelp, "outcome=\"hit\"")),
       fingerprint_misses_(registry_.counter("bisched_fingerprint_lookups_total",

@@ -60,6 +60,10 @@ class EngineMetrics {
   CacheSeries& profile_cache() { return profile_; }
   CacheSeries& result_cache() { return result_; }
   static void mirror_cache(CacheSeries& series, const CacheStatsView& view);
+  // bisched_cache_verify_failures_total: result-cache hits whose schedule
+  // did not check out against the request's instance (an instance-hash
+  // collision), solved afresh instead of served.
+  Counter& cache_verify_failures() { return cache_verify_failures_; }
 
   // The fingerprint index (engine/fingerprint_index.hpp), mirrored like the
   // caches: requests answered parse-free vs. fallen through to the parse,
@@ -80,6 +84,7 @@ class EngineMetrics {
   Histogram& solve_latency_ms_;
   CacheSeries profile_;
   CacheSeries result_;
+  Counter& cache_verify_failures_;
   Counter& fingerprint_hits_;
   Counter& fingerprint_misses_;
   Gauge& fingerprint_entries_;

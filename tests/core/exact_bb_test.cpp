@@ -9,6 +9,7 @@
 #include "random/generators.hpp"
 #include "random/gilbert.hpp"
 #include "reference_kernels.hpp"
+#include "sched/lower_bounds.hpp"
 #include "sched/makespan_solvers.hpp"
 #include "testing_util.hpp"
 #include "util/prng.hpp"
@@ -150,6 +151,47 @@ TEST(ExactUniform, StaleSubtreeCutKeepsTheSearchSmall) {
   ASSERT_TRUE(r.feasible);
   EXPECT_FALSE(r.truncated);
   EXPECT_LT(r.nodes, 20'000u);
+}
+
+TEST(ExactUniform, FillClosesADrawTheSearchCannotFinish) {
+  // A draw of perfbench cold-mix's small-uniform shape: 64 unit jobs on a
+  // Gilbert G(32,32,2/32) graph, speeds (2,3,8,2), root bound 35/8. The DFS
+  // alone spends the engine's 20M-node budget and stops at makespan 5. The
+  // capacitated DSATUR pass places every job within floor(35/8 * s_i), which
+  // sums to exactly 64, so the bound is met without a node.
+  Rng rng(derive_seed(3, 10));
+  const int side = 16 + static_cast<int>(rng.uniform_int(0, 16));
+  ASSERT_EQ(side, 32);
+  std::vector<std::int64_t> speeds(4);
+  for (auto& s : speeds) s = rng.uniform_int(1, 8);
+  const auto inst =
+      make_uniform_instance(std::vector<std::int64_t>(2 * static_cast<std::size_t>(side), 1),
+                            std::move(speeds), gilbert_bipartite(side, p_critical(2.0, side), rng));
+  ASSERT_EQ(lower_bound(inst), Rational(35, 8));
+  const auto r = exact_uniform_bb(inst, /*max_nodes=*/20'000'000);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_FALSE(r.truncated);
+  EXPECT_EQ(r.nodes, 0u);
+  EXPECT_EQ(r.cmax, lower_bound(inst));
+  EXPECT_EQ(validate(inst, r.schedule), ScheduleStatus::kValid);
+  EXPECT_EQ(makespan(inst, r.schedule), r.cmax);
+}
+
+TEST(ExactUnrelated, FillMeetsTheBoundTheSeedMisses) {
+  // Conflicting jobs 0 (3 anywhere) and 1 (2 on M1, 100 on M2); root bound
+  // max(3, ceil(5/2)) = 3. Earliest completion places the larger job 0
+  // first, on M1, which leaves job 1 only M2: makespan 100. The fill places
+  // job 1 first, as it fits one machine within capacity 3, and meets the
+  // bound: job 1 on M1, job 0 on M2.
+  Graph g(2);
+  g.add_edge(0, 1);
+  const auto inst = make_unrelated_instance({{3, 2}, {3, 100}}, std::move(g));
+  const auto r = exact_unrelated_bb(inst);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_FALSE(r.truncated);
+  EXPECT_EQ(r.nodes, 0u);
+  EXPECT_EQ(r.cmax, 3);
+  EXPECT_EQ(r.schedule.machine_of, (std::vector<int>{1, 0}));
 }
 
 // ---- differential check against the seed search ----------------------------

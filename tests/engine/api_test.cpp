@@ -269,10 +269,13 @@ TEST(ApiExecution, RunRequestResolvesEverySourceForm) {
 
 // Two 8192-job instances whose 64-bit instance hashes collide (found by a
 // generalized-birthday search over the commutative edge-sum fold): A is
-// bipartite, B has a triangle. Solved through one WarmState at different
-// eps, only B's profile lookup hits A's entry, so B arrives at the
-// portfolio labelled bipartite. alg1 aborts the process on an odd cycle, so
-// the portfolio must refuse it cleanly, and nothing may answer B with alg1.
+// bipartite, B has a triangle. Solved through one WarmState at the same
+// eps, B's result key is A's too: the hit's schedule fails verification on
+// B, so B is solved afresh, never answered from A's entry, and A keeps its
+// own. At different eps only B's profile lookup hits A's entry, so B
+// arrives at the portfolio labelled bipartite. alg1 aborts the process on an
+// odd cycle, so the portfolio must refuse it cleanly, and nothing may answer
+// B with alg1.
 UniformInstance collision_instance(std::initializer_list<std::pair<int, int>> extra) {
   constexpr int kSide = 4096;
   Graph g(2 * kSide);
@@ -303,6 +306,23 @@ TEST(ApiExecution, CollidingProfileCannotAbortABipartiteSolver) {
   const SolveResponse first = engine::run_request(registry, warm, request(a, 0.1), "auto", {});
   ASSERT_TRUE(first.ok) << first.error;
   EXPECT_EQ(first.solver, "alg1");
+
+  engine::SolveResult same_full;
+  const SolveResponse same =
+      engine::run_request(registry, warm, request(b, 0.1), "auto", {}, &same_full);
+  EXPECT_EQ(same.result_tier, engine::CacheTier::kMiss);
+  EXPECT_FALSE(same.ok && same.solver == "alg1") << "B answered from A's cached result";
+  if (same.ok) {
+    EXPECT_EQ(validate(b, same_full.schedule), ScheduleStatus::kValid) << same.solver;
+  }
+  EXPECT_EQ(warm.telemetry().cache_verify_failures().value(), 1u);
+
+  const SolveResponse again = engine::run_request(registry, warm, request(a, 0.1), "auto", {});
+  ASSERT_TRUE(again.ok) << again.error;
+  EXPECT_EQ(again.result_tier, engine::CacheTier::kMemory);
+  EXPECT_EQ(again.solver, "alg1");
+  EXPECT_EQ(again.makespan, first.makespan);
+  EXPECT_EQ(warm.telemetry().cache_verify_failures().value(), 1u);
 
   engine::SolveResult full;
   const SolveResponse second =

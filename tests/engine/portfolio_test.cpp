@@ -154,8 +154,9 @@ TEST(Portfolio, ExactProvesSmallUnitGilbertInstancesOnFourMachines) {
   // The perfbench cold-mix small-uniform shape: 32-64 unit jobs on a Gilbert
   // G(n,n,2/n) bipartite graph, 4 machines of speeds 1..8. The portfolio
   // tries the B&B first; on these twelve draws every proof it finishes meets
-  // the root lower bound. An unfinished search (one draw runs out of its
-  // budget) must hand the request to alg1.
+  // the root lower bound. The fill at that bound proves all twelve (draw 5
+  // ran the DFS out of its budget without it); an unfinished search would
+  // hand the request to alg1.
   int proven = 0;
   for (std::uint64_t k = 0; k < 12; ++k) {
     Rng rng(derive_seed(2, k));
@@ -176,7 +177,7 @@ TEST(Portfolio, ExactProvesSmallUnitGilbertInstancesOnFourMachines) {
       EXPECT_EQ(result.solver, "alg1") << "draw " << k;
     }
   }
-  EXPECT_GE(proven, 10);
+  EXPECT_EQ(proven, 12);
 }
 
 TEST(Portfolio, RunAllBudgetDerivesPerSolverDeadlines) {

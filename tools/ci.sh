@@ -470,6 +470,14 @@ for family in small-uniform crown-16; do
     }
   done
 done
+# The cold-mix draws row: the shipped search across the small-uniform draws,
+# with its truncated and root-closed counts.
+grep -q '"kernel": "exact_bb", "family": "cold-mix-draws", "variant": "shipped"' \
+  "$BENCH_JSON" || {
+  echo "ci.sh: bench smoke failed: $BENCH_JSON lacks the exact_bb cold-mix-draws shipped row" >&2
+  cat "$BENCH_JSON" >&2
+  exit 1
+}
 
 # ---------------------------------------------------- store bench smoke ---
 # The store trajectory must stay machine-readable too: the warm-up bench in
