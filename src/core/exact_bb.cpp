@@ -1,8 +1,11 @@
 #include "core/exact_bb.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <tuple>
 
 #include "sched/list_schedule.hpp"
@@ -22,41 +25,27 @@ constexpr std::int64_t kNoCap = std::numeric_limits<std::int64_t>::max();
 // bounding deadline overshoot to microseconds.
 constexpr std::uint64_t kDeadlinePollMask = 4095;
 
-bool past_deadline(std::uint64_t nodes, std::chrono::steady_clock::time_point deadline) {
+bool past_deadline(std::chrono::steady_clock::time_point deadline) {
   return deadline != std::chrono::steady_clock::time_point::max() &&
-         (nodes & kDeadlinePollMask) == 0 && std::chrono::steady_clock::now() >= deadline;
+         std::chrono::steady_clock::now() >= deadline;
 }
 
 std::int64_t saturate(i128 v) {
   return v > kNoCap ? kNoCap : static_cast<std::int64_t>(v);
 }
 
-// Conflict counters let O(deg) feasibility checks replace O(jobs-on-machine)
-// scans.
-class ConflictTracker {
- public:
-  ConflictTracker(const Graph& g, int m, int n)
-      : graph_(g), n_(n), blocked_(static_cast<std::size_t>(m) * static_cast<std::size_t>(n), 0) {}
+// Conflict masks (n <= 64): adjacency[j] holds job j's neighbors, and a
+// machine's `blocked` mask the neighbors of the jobs on it, so a job fits the
+// machine when its bit is clear there.
+std::uint64_t bit(int job) { return std::uint64_t{1} << job; }
 
-  bool allowed(int machine, int job) const {
-    return blocked_[index(machine, job)] == 0;
+std::vector<std::uint64_t> adjacency_masks(const Graph& g) {
+  std::vector<std::uint64_t> adjacency(static_cast<std::size_t>(g.num_vertices()), 0);
+  for (int u = 0; u < g.num_vertices(); ++u) {
+    for (int v : g.neighbors(u)) adjacency[static_cast<std::size_t>(u)] |= bit(v);
   }
-  void place(int machine, int job) {
-    for (int v : graph_.neighbors(job)) ++blocked_[index(machine, v)];
-  }
-  void remove(int machine, int job) {
-    for (int v : graph_.neighbors(job)) --blocked_[index(machine, v)];
-  }
-
- private:
-  std::size_t index(int machine, int job) const {
-    return static_cast<std::size_t>(machine) * static_cast<std::size_t>(n_) +
-           static_cast<std::size_t>(job);
-  }
-  const Graph& graph_;
-  int n_;
-  std::vector<int> blocked_;
-};
+  return adjacency;
+}
 
 // The two load models the search runs over. A machine's load is an integer
 // (work for Q, time for R), so "finishes strictly before the incumbent" is
@@ -140,11 +129,12 @@ struct UnrelatedModel {
     });
     s.machine_of.assign(static_cast<std::size_t>(n), -1);
     std::vector<std::int64_t> loads(static_cast<std::size_t>(m), 0);
-    ConflictTracker conflicts(inst.conflicts, m, n);
+    const std::vector<std::uint64_t> adjacency = adjacency_masks(inst.conflicts);
+    std::vector<std::uint64_t> blocked(static_cast<std::size_t>(m), 0);
     for (int j : order) {
       int pick = -1;
       for (int i = 0; i < m; ++i) {
-        if (!conflicts.allowed(i, j)) continue;
+        if ((blocked[static_cast<std::size_t>(i)] & bit(j)) != 0) continue;
         if (pick < 0 || loads[static_cast<std::size_t>(i)] + time(i, j) <
                             loads[static_cast<std::size_t>(pick)] + time(pick, j)) {
           pick = i;
@@ -153,7 +143,7 @@ struct UnrelatedModel {
       if (pick < 0) return false;
       s.machine_of[static_cast<std::size_t>(j)] = pick;
       loads[static_cast<std::size_t>(pick)] += time(pick, j);
-      conflicts.place(pick, j);
+      blocked[static_cast<std::size_t>(pick)] |= adjacency[static_cast<std::size_t>(j)];
     }
     return true;
   }
@@ -180,18 +170,117 @@ int twin_class(const Graph& g, int job) {
   return -1;
 }
 
+// The independent-set cut (exact_bb.hpp, "Cut") over 64-bit job masks. The
+// jobs machine i takes from the unplaced set U form an independent set inside
+// A_i, the jobs of U conflict-free on i; the other machines hold at most their
+// slack, so i must take weight (fastest times) need_i = slack_i - E, where the
+// excess E is the total slack minus w(U). An independent set misses an end of
+// every matching edge, so w(A_i) minus the lighter ends of a matching bounds
+// what i can take (exactly, for unit weights on a bipartite graph: König).
+class IndependentSetCut {
+ public:
+  // A BFS 2-layering of the conflict graph: a proper 2-coloring when it is
+  // bipartite; otherwise edges inside a layer are ignored, which only shrinks
+  // the matching and so the cut.
+  IndependentSetCut(const std::vector<std::uint64_t>& adjacency,
+                    const std::vector<std::int64_t>& size)
+      : adjacency_(adjacency), size_(size) {
+    const int n = static_cast<int>(adjacency.size());
+    std::uint64_t unseen = n == 64 ? ~std::uint64_t{0} : bit(n) - 1;
+    while (unseen != 0) {
+      std::uint64_t frontier = unseen & -unseen;
+      for (int layer = 0; frontier != 0; layer ^= 1) {
+        unseen &= ~frontier;
+        layers_[layer] |= frontier;
+        std::uint64_t next = 0;
+        for (; frontier != 0; frontier &= frontier - 1) {
+          next |= adjacency[static_cast<std::size_t>(std::countr_zero(frontier))];
+        }
+        frontier = next & unseen;
+      }
+    }
+  }
+
+  // True when some machine cannot take the weight the others leave it;
+  // `excess` is E >= 0.
+  bool cuts(std::uint64_t unplaced, const std::vector<std::uint64_t>& blocked,
+            const std::vector<std::int64_t>& loads, const std::vector<std::int64_t>& cap,
+            i128 excess) const {
+    for (std::size_t i = 0; i < blocked.size(); ++i) {
+      const i128 need = static_cast<i128>(cap[i]) - loads[i] - excess;
+      if (need <= 0) continue;
+      const std::uint64_t left = unplaced & ~blocked[i] & layers_[0];
+      const std::uint64_t right = unplaced & ~blocked[i] & layers_[1];
+      const i128 w_left = weight(left);
+      const i128 w_right = weight(right);
+      if (w_left + w_right < need) return true;
+      // A layer of a bipartite graph is itself independent: nothing to prove.
+      if (std::max(w_left, w_right) >= need) continue;
+      if (w_left + w_right - matched_weight(left, right) < need) return true;
+    }
+    return false;
+  }
+
+ private:
+  i128 weight(std::uint64_t mask) const {
+    i128 w = 0;
+    for (; mask != 0; mask &= mask - 1) w += size_[static_cast<std::size_t>(std::countr_zero(mask))];
+    return w;
+  }
+
+  // Sum of min(w_u, w_v) over a maximum matching between `left` and `right`
+  // (augmenting paths).
+  i128 matched_weight(std::uint64_t left, std::uint64_t right) const {
+    std::array<int, 64> mate;
+    mate.fill(-1);
+    for (std::uint64_t rest = left; rest != 0; rest &= rest - 1) {
+      std::uint64_t visited = 0;
+      augment(std::countr_zero(rest), right, visited, mate);
+    }
+    i128 w = 0;
+    for (std::uint64_t rest = right; rest != 0; rest &= rest - 1) {
+      const int v = std::countr_zero(rest);
+      const int u = mate[static_cast<std::size_t>(v)];
+      if (u >= 0) {
+        w += std::min(size_[static_cast<std::size_t>(u)], size_[static_cast<std::size_t>(v)]);
+      }
+    }
+    return w;
+  }
+
+  bool augment(int u, std::uint64_t right, std::uint64_t& visited,
+               std::array<int, 64>& mate) const {
+    const std::uint64_t reach = adjacency_[static_cast<std::size_t>(u)] & right;
+    for (std::uint64_t next = reach & ~visited; next != 0; next = reach & ~visited) {
+      const int v = std::countr_zero(next);
+      visited |= bit(v);
+      int& owner = mate[static_cast<std::size_t>(v)];
+      if (owner < 0 || augment(owner, right, visited, mate)) {
+        owner = u;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  const std::vector<std::uint64_t>& adjacency_;
+  const std::vector<std::int64_t>& size_;
+  std::uint64_t layers_[2] = {0, 0};
+};
+
 // One capacitated DSATUR pass at the root bound (exact_bb.hpp, "Fill"):
 // machine i holds at most cap_at(bound, i), and the pass places the job that
 // fits the fewest machines (ties: larger fastest time `size`, then higher
 // degree, then lower index) on the machine it leaves the most slack on. True
 // with the schedule in `current` and its loads in `loads` once every job is
 // placed; false as soon as some job fits nowhere, with `current`, `loads` and
-// `conflicts` emptied again for the DFS. `cap` is left at the fill's caps.
+// `blocked` emptied again for the DFS. `cap` is left at the fill's caps.
 template <typename Model>
 bool fill_at_bound(const Model& model, const typename Model::Value& bound,
                    const std::vector<std::int64_t>& size, std::vector<std::int64_t>& cap,
                    Schedule& current, std::vector<std::int64_t>& loads,
-                   ConflictTracker& conflicts) {
+                   const std::vector<std::uint64_t>& adjacency,
+                   std::vector<std::uint64_t>& blocked) {
   const Graph& g = model.inst.conflicts;
   const int n = model.inst.num_jobs();
   const int m = model.inst.num_machines();
@@ -200,7 +289,9 @@ bool fill_at_bound(const Model& model, const typename Model::Value& bound,
     return cap[static_cast<std::size_t>(i)] - loads[static_cast<std::size_t>(i)] -
            model.time(i, job);
   };
-  const auto fits = [&](int i, int job) { return conflicts.allowed(i, job) && slack(i, job) >= 0; };
+  const auto fits = [&](int i, int job) {
+    return (blocked[static_cast<std::size_t>(i)] & bit(job)) == 0 && slack(i, job) >= 0;
+  };
   const auto rank = [&](int fit_count, int job) {
     return std::make_tuple(fit_count, -size[static_cast<std::size_t>(job)], -g.degree(job));
   };
@@ -226,15 +317,12 @@ bool fill_at_bound(const Model& model, const typename Model::Value& bound,
     }
     current.machine_of[static_cast<std::size_t>(job)] = pick;
     loads[static_cast<std::size_t>(pick)] += model.time(pick, job);
-    conflicts.place(pick, job);
+    blocked[static_cast<std::size_t>(pick)] |= adjacency[static_cast<std::size_t>(job)];
   }
   if (!stuck) return true;
-  for (int j = 0; j < n; ++j) {
-    int& machine = current.machine_of[static_cast<std::size_t>(j)];
-    if (machine >= 0) conflicts.remove(machine, j);
-    machine = -1;
-  }
+  std::fill(current.machine_of.begin(), current.machine_of.end(), -1);
   std::fill(loads.begin(), loads.end(), 0);
+  std::fill(blocked.begin(), blocked.end(), 0);
   return false;
 }
 
@@ -284,12 +372,17 @@ typename Model::Result branch_and_bound(const Model& model, std::uint64_t max_no
   for (int i = 1; i < m; ++i) {
     same_as_previous[static_cast<std::size_t>(i)] = model.same_machine(i - 1, i);
   }
-  // remaining[d]: the least total load the jobs order[d..] add anywhere.
+  // remaining[d]: the least total load the jobs order[d..] add anywhere;
+  // unplaced[d]: those jobs as a mask.
   std::vector<std::int64_t> remaining(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<std::uint64_t> unplaced(static_cast<std::size_t>(n) + 1, 0);
   for (int d = n - 1; d >= 0; --d) {
+    const int job = order[static_cast<std::size_t>(d)];
     remaining[static_cast<std::size_t>(d)] = saturate(
         static_cast<i128>(remaining[static_cast<std::size_t>(d) + 1]) +
-        size[static_cast<std::size_t>(order[static_cast<std::size_t>(d)])]);
+        size[static_cast<std::size_t>(job)]);
+    unplaced[static_cast<std::size_t>(d)] =
+        unplaced[static_cast<std::size_t>(d) + 1] | bit(job);
   }
 
   Schedule current;
@@ -297,7 +390,8 @@ typename Model::Result branch_and_bound(const Model& model, std::uint64_t max_no
   std::vector<std::int64_t> loads(static_cast<std::size_t>(m), 0);
   std::vector<int> jobs_on(static_cast<std::size_t>(m), 0);
   i128 placed = 0;
-  ConflictTracker conflicts(g, m, n);
+  const std::vector<std::uint64_t> adjacency = adjacency_masks(g);
+  std::vector<std::uint64_t> blocked(static_cast<std::size_t>(m), 0);
   std::vector<std::int64_t> cap(static_cast<std::size_t>(m));
   auto loads_makespan = [&] {
     Value cmax = model.finish(loads[0], 0);
@@ -308,7 +402,7 @@ typename Model::Result branch_and_bound(const Model& model, std::uint64_t max_no
   };
 
   // A schedule at the bound is optimal: no search needed.
-  if (fill_at_bound(model, bound, size, cap, current, loads, conflicts)) {
+  if (fill_at_bound(model, bound, size, cap, current, loads, adjacency, blocked)) {
     best.feasible = true;
     best.cmax = loads_makespan();
     BISCHED_CHECK(!(bound < best.cmax), "B&B fill exceeded the root bound");
@@ -331,12 +425,23 @@ typename Model::Result branch_and_bound(const Model& model, std::uint64_t max_no
   std::uint64_t nodes = 0;
   bool aborted = false;
   bool stop = false;
+  std::optional<IndependentSetCut> cut;
 
   auto dfs = [&](auto&& self, int depth) -> void {
     ++nodes;
-    if ((max_nodes != 0 && nodes > max_nodes) || past_deadline(nodes, deadline)) {
+    if (max_nodes != 0 && nodes > max_nodes) {
       aborted = stop = true;
       return;
+    }
+    if ((nodes & kDeadlinePollMask) == 0) {
+      // The first poll also engages the cut: a search that ends sooner never
+      // builds it (run from the root, it makes small searches that need no
+      // cut ~40% slower; docs/perf.md).
+      if (!cut) cut.emplace(adjacency, size);
+      if (past_deadline(deadline)) {
+        aborted = stop = true;
+        return;
+      }
     }
     // Stale subtree: a leaf found below an ancestor may have tightened the
     // caps under loads that ancestor already placed.
@@ -351,7 +456,13 @@ typename Model::Result branch_and_bound(const Model& model, std::uint64_t max_no
       stop = !(bound < best.cmax);
       return;
     }
-    if (best.feasible && cap_sum - placed < remaining[static_cast<std::size_t>(depth)]) return;
+    if (best.feasible) {
+      const i128 excess = cap_sum - placed - remaining[static_cast<std::size_t>(depth)];
+      if (excess < 0) return;
+      if (cut && cut->cuts(unplaced[static_cast<std::size_t>(depth)], blocked, loads, cap, excess)) {
+        return;
+      }
+    }
     const int job = order[static_cast<std::size_t>(depth)];
     const int first = follows_twin[static_cast<std::size_t>(depth)]
                           ? current.machine_of[static_cast<std::size_t>(
@@ -361,16 +472,17 @@ typename Model::Result branch_and_bound(const Model& model, std::uint64_t max_no
       const auto mi = static_cast<std::size_t>(i);
       // Symmetry: among empty interchangeable machines, only the first.
       if (jobs_on[mi] == 0 && i > 0 && jobs_on[mi - 1] == 0 && same_as_previous[mi]) continue;
-      if (!conflicts.allowed(i, job)) continue;
+      if ((blocked[mi] & bit(job)) != 0) continue;
       const std::int64_t t = model.time(i, job);
       if (t > cap[mi] - loads[mi]) continue;
       loads[mi] += t;
       placed += t;
       ++jobs_on[mi];
       current.machine_of[static_cast<std::size_t>(job)] = i;
-      conflicts.place(i, job);
+      const std::uint64_t was_blocked = blocked[mi];
+      blocked[mi] |= adjacency[static_cast<std::size_t>(job)];
       self(self, depth + 1);
-      conflicts.remove(i, job);
+      blocked[mi] = was_blocked;
       current.machine_of[static_cast<std::size_t>(job)] = -1;
       --jobs_on[mi];
       placed -= t;

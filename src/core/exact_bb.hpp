@@ -24,6 +24,17 @@
 //     loads exceed the (since tightened) caps is cut; a node is cut when the
 //     total slack sum_i (cap_i - load_i) is below the work still to place
 //     (sum of fastest times for R).
+//   * Cut: from the first deadline poll (node 4096) on, the König argument
+//     the off-M1 root bound makes once runs at every node. With U the
+//     unplaced jobs, w their fastest times and E = sum_i slack_i - w(U), the
+//     others absorb at most their slack, so machine i must take weight
+//     need_i = slack_i - E from U, as an independent set of A_i (the jobs of
+//     U conflict-free on i). The node is cut when w(A_i) < need_i, or when
+//     w(A_i) minus the lighter ends of a matching of A_i is (an independent
+//     set misses an end of every matching edge). The matching is skipped
+//     when a layer of A_i already weighs need_i; it runs on 64-bit masks
+//     across a BFS 2-layering, exact for unit weights on a bipartite graph
+//     and smaller but still valid on others.
 //   * Symmetry: among empty interchangeable machines (equal speed for Q,
 //     equal time rows for R) only the first is tried, and of two adjacent
 //     twins in the order — isolated jobs, or leaves of one vertex, with equal

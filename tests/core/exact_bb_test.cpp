@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "random/generators.hpp"
@@ -175,6 +177,38 @@ TEST(ExactUniform, FillClosesADrawTheSearchCannotFinish) {
   EXPECT_EQ(r.cmax, lower_bound(inst));
   EXPECT_EQ(validate(inst, r.schedule), ScheduleStatus::kValid);
   EXPECT_EQ(makespan(inst, r.schedule), r.cmax);
+}
+
+TEST(ExactUniform, IndependentSetCutClosesDrawsTheFillMisses) {
+  // Two more cold-mix small-uniform draws: 60 unit jobs on speeds (2,1,7,1)
+  // with root bound 6, and 40 on speeds (2,3,8,1) with root bound 3. The fill
+  // stops short on both, and without the independent-set cut the DFS spends
+  // the engine's 20M-node budget and stops at makespans 7 and 10/3. With it
+  // the search proves the bound in about 4 300 nodes: the fast machine must
+  // take an independent set larger than the unplaced jobs it may still hold.
+  struct Draw {
+    std::uint64_t stream;
+    int side;
+    Rational bound;
+  };
+  for (const Draw& draw : {Draw{94, 30, Rational(6)}, Draw{125, 20, Rational(3)}}) {
+    Rng rng(derive_seed(3, draw.stream));
+    const int side = 16 + static_cast<int>(rng.uniform_int(0, 16));
+    ASSERT_EQ(side, draw.side);
+    std::vector<std::int64_t> speeds(4);
+    for (auto& s : speeds) s = rng.uniform_int(1, 8);
+    const auto inst = make_uniform_instance(
+        std::vector<std::int64_t>(2 * static_cast<std::size_t>(side), 1), std::move(speeds),
+        gilbert_bipartite(side, p_critical(2.0, side), rng));
+    ASSERT_EQ(lower_bound(inst), draw.bound);
+    const auto r = exact_uniform_bb(inst, /*max_nodes=*/20'000'000);
+    ASSERT_TRUE(r.feasible) << "draw " << draw.stream;
+    EXPECT_FALSE(r.truncated) << "draw " << draw.stream;
+    EXPECT_EQ(r.cmax, draw.bound) << "draw " << draw.stream;
+    EXPECT_LT(r.nodes, 100'000u) << "draw " << draw.stream;
+    EXPECT_EQ(validate(inst, r.schedule), ScheduleStatus::kValid) << "draw " << draw.stream;
+    EXPECT_EQ(makespan(inst, r.schedule), r.cmax) << "draw " << draw.stream;
+  }
 }
 
 TEST(ExactUnrelated, FillMeetsTheBoundTheSeedMisses) {
@@ -366,6 +400,142 @@ TEST(ExactUnrelated, MatchesSeedSearchOnRandomInstances) {
   }
   EXPECT_GT(feasible, 1500);
   EXPECT_GT(infeasible, 150);
+}
+
+// ---- differential check where the independent-set cut engages --------------
+//
+// The cut engages at the search's first deadline poll (node 4096); the random
+// instances above all finish before it. Even times on 14-18 jobs and three
+// machines keep the shipped search past that node on about one draw in ten
+// (no bound it uses sees that every load is even) while the seed search still
+// finishes in milliseconds. Half the draws are unit (every time 2), half weighted (2 or
+// 4); a quarter of the graphs are not bipartite, where the cut's 2-layering
+// ignores the edges inside a layer. Even loads never fill a machine to an odd
+// cap exactly, so these families cannot tell a cut that asks one unit too much
+// from a correct one; the mixed-parity families below can (one odd time, or
+// times of both parities), and a cut off by one unit fails them.
+
+constexpr std::uint64_t kCutEngagesAfter = 4096;
+
+Graph engaging_graph(int side, int iter, Rng& rng) {
+  return iter % 4 == 3 ? random_graph(2 * side, GraphKind::kGeneral, rng)
+                       : gilbert_bipartite(side, p_critical(2.0, side), rng);
+}
+
+std::vector<std::int64_t> engaging_speeds(Rng& rng) {
+  std::vector<std::int64_t> speeds(3);
+  const bool equal_speeds = rng.bernoulli(0.5);
+  const std::int64_t s0 = rng.uniform_int(1, 3);
+  for (auto& s : speeds) s = equal_speeds ? s0 : rng.uniform_int(1, 4);
+  return speeds;
+}
+
+constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
+
+auto both_searches(const UniformInstance& inst) {
+  return std::pair(exact_uniform_bb(inst), reference::exact_uniform_bb(inst, 0, kNoDeadline));
+}
+auto both_searches(const UnrelatedInstance& inst) {
+  return std::pair(exact_unrelated_bb(inst), reference::exact_unrelated_bb(inst, 0, kNoDeadline));
+}
+
+// Both searches, unlimited, agree on feasibility and the optimal makespan;
+// true when the shipped one ran past the node where the cut engages.
+template <typename Instance>
+bool agrees_with_seed_search(const Instance& inst, const std::string& ctx) {
+  const auto [r, seed] = both_searches(inst);
+  EXPECT_FALSE(r.truncated) << ctx;
+  EXPECT_EQ(r.feasible, seed.feasible) << ctx;
+  if (!r.feasible || !seed.feasible) return false;
+  EXPECT_EQ(r.cmax, seed.cmax) << ctx;
+  EXPECT_EQ(validate(inst, r.schedule), ScheduleStatus::kValid) << ctx;
+  EXPECT_EQ(makespan(inst, r.schedule), r.cmax) << ctx;
+  return r.nodes > kCutEngagesAfter;
+}
+
+TEST(ExactUniform, MatchesSeedSearchWhereTheCutEngages) {
+  Rng rng(20261021);
+  int engaged = 0;
+  for (int iter = 0; iter < 1000; ++iter) {
+    const int side = static_cast<int>(rng.uniform_int(7, 9));
+    std::vector<std::int64_t> p(2 * static_cast<std::size_t>(side));
+    for (auto& x : p) x = 2 * rng.uniform_int(1, 1 + iter % 2);
+    std::vector<std::int64_t> speeds = engaging_speeds(rng);
+    const auto inst =
+        make_uniform_instance(std::move(p), std::move(speeds), engaging_graph(side, iter, rng));
+    engaged += agrees_with_seed_search(inst, "side " + std::to_string(side) + " iter " +
+                                                 std::to_string(iter))
+                   ? 1
+                   : 0;
+  }
+  EXPECT_GE(engaged, 100);
+}
+
+TEST(ExactUniform, MatchesSeedSearchWhereTheCutEngagesOnMixedParity) {
+  // Times 2 or 4 but one job's 3 or 5.
+  Rng rng(20261023);
+  int engaged = 0;
+  for (int iter = 0; iter < 1000; ++iter) {
+    const int side = static_cast<int>(rng.uniform_int(7, 9));
+    std::vector<std::int64_t> p(2 * static_cast<std::size_t>(side));
+    for (auto& x : p) x = 2 * rng.uniform_int(1, 2);
+    p[static_cast<std::size_t>(rng.uniform_int(0, 2 * side - 1))] = 2 * rng.uniform_int(1, 2) + 1;
+    std::vector<std::int64_t> speeds = engaging_speeds(rng);
+    const auto inst =
+        make_uniform_instance(std::move(p), std::move(speeds), engaging_graph(side, iter, rng));
+    engaged += agrees_with_seed_search(inst, "side " + std::to_string(side) + " iter " +
+                                                 std::to_string(iter))
+                   ? 1
+                   : 0;
+  }
+  EXPECT_GE(engaged, 80);
+}
+
+TEST(ExactUnrelated, MatchesSeedSearchWhereTheCutEngages) {
+  Rng rng(20261022);
+  int engaged = 0;
+  for (int iter = 0; iter < 1200; ++iter) {
+    const int side = static_cast<int>(rng.uniform_int(7, 8));
+    // Each job's times vary by at most `spread` between machines.
+    const std::int64_t spread = iter % 2;
+    std::vector<std::vector<std::int64_t>> times(
+        3, std::vector<std::int64_t>(2 * static_cast<std::size_t>(side)));
+    for (std::size_t j = 0; j < times[0].size(); ++j) {
+      const std::int64_t base = rng.uniform_int(1, 1 + spread);
+      for (auto& row : times) row[j] = 2 * (base + rng.uniform_int(0, spread));
+    }
+    const auto inst = make_unrelated_instance(std::move(times), engaging_graph(side, iter, rng));
+    engaged += agrees_with_seed_search(inst, "side " + std::to_string(side) + " iter " +
+                                                 std::to_string(iter))
+                   ? 1
+                   : 0;
+  }
+  EXPECT_GE(engaged, 80);
+}
+
+TEST(ExactUnrelated, MatchesSeedSearchWhereTheCutEngagesOnMixedParity) {
+  // Times 1..4 plus up to iter % 2 more on each machine, and one entry odd
+  // (3..9).
+  Rng rng(20261024);
+  int engaged = 0;
+  for (int iter = 0; iter < 600; ++iter) {
+    const int side = static_cast<int>(rng.uniform_int(8, 10));
+    std::vector<std::vector<std::int64_t>> times(
+        3, std::vector<std::int64_t>(2 * static_cast<std::size_t>(side)));
+    for (std::size_t j = 0; j < times[0].size(); ++j) {
+      const std::int64_t base = rng.uniform_int(1, 4);
+      for (auto& row : times) row[j] = base + rng.uniform_int(0, iter % 2);
+    }
+    times[static_cast<std::size_t>(rng.uniform_int(0, 2))]
+         [static_cast<std::size_t>(rng.uniform_int(0, 2 * side - 1))] =
+             2 * rng.uniform_int(1, 4) + 1;
+    const auto inst = make_unrelated_instance(std::move(times), engaging_graph(side, iter, rng));
+    engaged += agrees_with_seed_search(inst, "side " + std::to_string(side) + " iter " +
+                                                 std::to_string(iter))
+                   ? 1
+                   : 0;
+  }
+  EXPECT_GE(engaged, 20);
 }
 
 }  // namespace

@@ -153,12 +153,12 @@ TEST(Portfolio, BudgetTruncatedBranchAndBoundFallsThroughToAlg1) {
 TEST(Portfolio, ExactProvesSmallUnitGilbertInstancesOnFourMachines) {
   // The perfbench cold-mix small-uniform shape: 32-64 unit jobs on a Gilbert
   // G(n,n,2/n) bipartite graph, 4 machines of speeds 1..8. The portfolio
-  // tries the B&B first; on these twelve draws every proof it finishes meets
-  // the root lower bound. The fill at that bound proves all twelve (draw 5
-  // ran the DFS out of its budget without it); an unfinished search would
-  // hand the request to alg1.
+  // tries the B&B first; on these 150 draws every proof it finishes meets
+  // the root lower bound. The fill at that bound and the independent-set cut
+  // prove all of them (without the cut, draws 92 and 106 run the DFS out of
+  // its budget); an unfinished search would hand the request to alg1.
   int proven = 0;
-  for (std::uint64_t k = 0; k < 12; ++k) {
+  for (std::uint64_t k = 0; k < 150; ++k) {
     Rng rng(derive_seed(2, k));
     const int side = 16 + static_cast<int>(rng.uniform_int(0, 16));
     std::vector<std::int64_t> speeds(4);
@@ -177,7 +177,7 @@ TEST(Portfolio, ExactProvesSmallUnitGilbertInstancesOnFourMachines) {
       EXPECT_EQ(result.solver, "alg1") << "draw " << k;
     }
   }
-  EXPECT_EQ(proven, 12);
+  EXPECT_EQ(proven, 150);
 }
 
 TEST(Portfolio, RunAllBudgetDerivesPerSolverDeadlines) {

@@ -471,10 +471,23 @@ for family in small-uniform crown-16; do
   done
 done
 # The cold-mix draws row: the shipped search across the small-uniform draws,
-# with its truncated and root-closed counts.
-grep -q '"kernel": "exact_bb", "family": "cold-mix-draws", "variant": "shipped"' \
-  "$BENCH_JSON" || {
+# with its truncated and root-closed counts. Its --quick window holds draws
+# only the independent-set cut proves, so every call must finish.
+DRAWS_ROW=$(grep '"kernel": "exact_bb", "family": "cold-mix-draws", "variant": "shipped"' \
+  "$BENCH_JSON") || {
   echo "ci.sh: bench smoke failed: $BENCH_JSON lacks the exact_bb cold-mix-draws shipped row" >&2
+  cat "$BENCH_JSON" >&2
+  exit 1
+}
+echo "$DRAWS_ROW" | grep -q '"truncated": 0,' || {
+  echo "ci.sh: bench smoke failed: a cold-mix draw ran the exact B&B out of its budget" >&2
+  echo "$DRAWS_ROW" >&2
+  exit 1
+}
+# The routed-mix crown row: the search path that never engages the cut.
+grep -q '"kernel": "exact_bb", "family": "routed-crown", "variant": "shipped"' \
+  "$BENCH_JSON" || {
+  echo "ci.sh: bench smoke failed: $BENCH_JSON lacks the exact_bb routed-crown shipped row" >&2
   cat "$BENCH_JSON" >&2
   exit 1
 }
