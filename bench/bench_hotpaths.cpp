@@ -122,7 +122,6 @@ void r2_kernel_bench(bench::JsonReport& report, bool quick) {
                  fmt_bool(identical)});
       report.add({{"kernel", "r2_fptas"},
                   {"isa", isa},
-                  {"mode", "value-only"},
                   {"n", n},
                   {"eps", eps},
                   {"trials", trials},
@@ -226,120 +225,6 @@ void r2_exact_bench(bench::JsonReport& report, bool quick) {
   t.print(std::cout);
 }
 
-// The probe-mode ablation: identical instances solved with eager
-// (choice-writing) probes and with value-only probes + one terminal
-// materialization, at the host's resolved dispatch level. Isolates the
-// memory-traffic saving of skipping the choice matrix during the search.
-void probe_mode_bench(bench::JsonReport& report, bool quick) {
-  TextTable t("FPTAS probe modes: eager choice-writing vs value-only search");
-  t.set_header({"kernel", "n", "eps", "trials", "eager ms", "value-only ms",
-                "speedup", "identical"});
-  const char* isa = to_string(simd_level());
-  const int trials = quick ? 2 : 5;
-
-  {  // R2: the large shape — wide rows, many rejected probes.
-    const int n = quick ? 160 : 600;
-    const double eps = quick ? 0.05 : 0.02;
-    double eager_ms = 0;
-    double value_ms = 0;
-    bool identical = true;
-    telemetry::Histogram latency(telemetry::Histogram::default_latency_bounds_ms());
-    for (int trial = 0; trial < trials; ++trial) {
-      Rng rng(derive_seed(bench::kBenchSeed + 41,
-                          static_cast<std::uint64_t>(n) * 131 +
-                              static_cast<std::uint64_t>(trial) * 7));
-      const auto jobs = random_r2_jobs(n, 2000, rng);
-      Timer timer;
-      const R2Result eager = r2_fptas(jobs, eps, ProbeMode::kEager);
-      eager_ms += timer.millis();
-      timer.reset();
-      const R2Result value_only = r2_fptas(jobs, eps, ProbeMode::kValueOnly);
-      const double trial_ms = timer.millis();
-      value_ms += trial_ms;
-      latency.observe(trial_ms);
-      identical = identical && eager.cmax == value_only.cmax &&
-                  eager.on_machine2 == value_only.on_machine2;
-    }
-    const double speedup = value_ms > 0 ? eager_ms / value_ms : 0;
-    const auto lat = latency.snapshot();
-    t.add_row({"r2_fptas", fmt_count(n), fmt_double(eps, 2), fmt_count(trials),
-               fmt_double(eager_ms, 2), fmt_double(value_ms, 2), fmt_ratio(speedup),
-               fmt_bool(identical)});
-    report.add({{"kernel", "r2_probe_mode"},
-                {"isa", isa},
-                {"mode", "eager"},
-                {"n", n},
-                {"eps", eps},
-                {"trials", trials},
-                {"opt_ms", eager_ms},
-                {"identical", identical}});
-    report.add({{"kernel", "r2_probe_mode"},
-                {"isa", isa},
-                {"mode", "value-only"},
-                {"n", n},
-                {"eps", eps},
-                {"trials", trials},
-                {"opt_ms", value_ms},
-                {"p50_ms", lat.percentile(0.5)},
-                {"p95_ms", lat.percentile(0.95)},
-                {"p99_ms", lat.percentile(0.99)},
-                {"speedup_vs_eager", speedup},
-                {"identical", identical}});
-  }
-
-  {  // R3: the 2-D grid — the choice matrix is quadratic, so the saving is
-     // proportionally larger.
-    const int n = quick ? 16 : 32;
-    const double eps = quick ? 0.4 : 0.3;
-    double eager_ms = 0;
-    double value_ms = 0;
-    bool identical = true;
-    telemetry::Histogram latency(telemetry::Histogram::default_latency_bounds_ms());
-    for (int trial = 0; trial < trials; ++trial) {
-      Rng rng(derive_seed(bench::kBenchSeed + 43,
-                          static_cast<std::uint64_t>(n) * 131 +
-                              static_cast<std::uint64_t>(trial) * 7));
-      const auto jobs = random_r3_jobs(n, 200, rng);
-      Timer timer;
-      const R3Result eager = r3_fptas(jobs, eps, ProbeMode::kEager);
-      eager_ms += timer.millis();
-      timer.reset();
-      const R3Result value_only = r3_fptas(jobs, eps, ProbeMode::kValueOnly);
-      const double trial_ms = timer.millis();
-      value_ms += trial_ms;
-      latency.observe(trial_ms);
-      identical = identical && eager.cmax == value_only.cmax &&
-                  eager.machine_of == value_only.machine_of;
-    }
-    const double speedup = value_ms > 0 ? eager_ms / value_ms : 0;
-    const auto lat = latency.snapshot();
-    t.add_row({"r3_fptas", fmt_count(n), fmt_double(eps, 2), fmt_count(trials),
-               fmt_double(eager_ms, 2), fmt_double(value_ms, 2), fmt_ratio(speedup),
-               fmt_bool(identical)});
-    report.add({{"kernel", "r3_probe_mode"},
-                {"isa", isa},
-                {"mode", "eager"},
-                {"n", n},
-                {"eps", eps},
-                {"trials", trials},
-                {"opt_ms", eager_ms},
-                {"identical", identical}});
-    report.add({{"kernel", "r3_probe_mode"},
-                {"isa", isa},
-                {"mode", "value-only"},
-                {"n", n},
-                {"eps", eps},
-                {"trials", trials},
-                {"opt_ms", value_ms},
-                {"p50_ms", lat.percentile(0.5)},
-                {"p95_ms", lat.percentile(0.95)},
-                {"p99_ms", lat.percentile(0.99)},
-                {"speedup_vs_eager", speedup},
-                {"identical", identical}});
-  }
-  t.print(std::cout);
-}
-
 void r3_kernel_bench(bench::JsonReport& report, bool quick) {
   TextTable t("R3 FPTAS binary search: seed kernel vs arena + window pruning");
   t.set_header({"n", "eps", "trials", "seed ms", "opt ms", "speedup", "identical"});
@@ -375,7 +260,6 @@ void r3_kernel_bench(bench::JsonReport& report, bool quick) {
                fmt_double(seed_ms, 2), fmt_double(opt_ms, 2), fmt_ratio(speedup),
                fmt_bool(identical)});
     report.add({{"kernel", "r3_fptas"},
-                {"mode", "value-only"},
                 {"n", n},
                 {"eps", eps},
                 {"trials", trials},
@@ -670,7 +554,6 @@ int main(int argc, char** argv) {
   r2_kernel_bench(report, quick);
   r2_exact_bench(report, quick);
   r3_kernel_bench(report, quick);
-  probe_mode_bench(report, quick);
   dinic_bench(report, quick);
   exact_bb_bench(report, quick);
   exact_bb_draws_bench(report, quick);

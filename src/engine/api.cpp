@@ -369,8 +369,7 @@ SolveResponse run_source(const SolverRegistry& registry, WarmState& warm,
   index.record(false);
 
   telemetry::TraceSpan* parse_span = root.child("parse");
-  std::istringstream text(*bytes);
-  const ParsedInstance parsed = parse_instance(text);
+  const ParsedInstance parsed = parse_instance(*bytes);
   parse_span->end();
   std::uint64_t hash = 0;
   SolveResponse r =

@@ -61,9 +61,7 @@ bool key_from_parsed(const ParsedInstance& parsed, std::uint64_t* key) {
 }
 
 bool key_from_text(const std::string& text, std::uint64_t* key) {
-  std::istringstream in(text);
-  const ParsedInstance parsed = parse_instance(in);
-  return key_from_parsed(parsed, key);
+  return key_from_parsed(parse_instance(text), key);
 }
 
 // Splices the router's admission seq over the backend's in a finished

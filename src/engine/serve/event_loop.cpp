@@ -9,20 +9,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <iostream>
-#include <istream>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <streambuf>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -79,16 +75,6 @@ bool token_equal(const std::string& a, const std::string& b) {
   }
   return diff == 0;
 }
-
-// Read-only streambuf over a byte range: lets the finished instance body be
-// replayed through parse_instance without copying it out of the read buffer.
-class MemBuf final : public std::streambuf {
- public:
-  MemBuf(const char* begin, const char* end) {
-    char* b = const_cast<char*>(begin);
-    setg(b, b, const_cast<char*>(end));
-  }
-};
 
 void write_all(int fd, const char* data, std::size_t size) {
   while (size > 0) {
@@ -156,229 +142,6 @@ void pump_stdio(int in_fd, int out_fd, int sock) {
   }
 }
 
-// ------------------------------------------------------ instance body scan ---
-//
-// parse_instance reads a whole istream and would block on a body that has
-// not fully arrived. The readiness loop cannot block, so this scanner
-// answers "does the buffer hold one complete instance yet?" by mirroring
-// parse_instance's CONSUMPTION automaton token by token — the same
-// literals, the same integer checks, the same count ranges, the same
-// per-value validation points — so it stops at exactly the byte where the
-// real parser would stop, for well-formed and malformed bodies alike. It
-// never produces an instance or an error message itself: once it stops, the
-// consumed range is replayed through parse_instance (one parser decides
-// validity and wording; the serve wire golden pins the result).
-class InstanceBodyScanner {
- public:
-  enum class Status { kNeedMore, kComplete, kBad };
-
-  // Consumes tokens from buf[*pos..), advancing *pos past every fully
-  // consumed token (plus leading whitespace and '#' comments). `eof` means
-  // no more bytes will ever arrive: a token at the buffer edge is then
-  // complete, and a truncated body turns kNeedMore into kBad.
-  Status feed(const std::string& buf, std::size_t* pos, bool eof) {
-    while (true) {
-      if (step_ == Step::kDone) return Status::kComplete;
-      if (step_ == Step::kFailed) return Status::kBad;
-      std::size_t i = *pos;
-      while (i < buf.size() && std::isspace(static_cast<unsigned char>(buf[i]))) {
-        ++i;
-      }
-      if (i >= buf.size()) {
-        *pos = buf.size();
-        if (!eof) return Status::kNeedMore;
-        step_ = Step::kFailed;  // truncated: replay reports "end of input"
-        return Status::kBad;
-      }
-      if (buf[i] == '#') {  // comment to end of line, like io/format's Tokens
-        const auto nl = buf.find('\n', i);
-        if (nl == std::string::npos) {
-          *pos = i;
-          if (!eof) return Status::kNeedMore;
-          *pos = buf.size();
-          step_ = Step::kFailed;
-          return Status::kBad;
-        }
-        *pos = nl + 1;
-        continue;
-      }
-      std::size_t end = i;
-      while (end < buf.size() &&
-             !std::isspace(static_cast<unsigned char>(buf[end]))) {
-        ++end;
-      }
-      if (end == buf.size() && !eof) {
-        *pos = i;  // the token may still be growing
-        return Status::kNeedMore;
-      }
-      const std::string token = buf.substr(i, end - i);
-      *pos = end;
-      const Status status = on_token(token);
-      if (status != Status::kNeedMore) return status;
-    }
-  }
-
- private:
-  // Grammar positions, in parse_instance order.
-  enum class Step {
-    kMagic, kKind, kVersion, kJobsKw, kJobsN,
-    kPKw, kPVal, kSpeedsKw, kSpeedsM, kSpeedVal,
-    kMachinesKw, kMachinesM, kTimesKw, kTimesVal,
-    kEdgesKw, kEdgesK, kEdgeVal,
-    kDone, kFailed,
-  };
-
-  // Bounds duplicated from io/format.cpp — the scanner must range-check the
-  // counts it loops on, or a wild `edges 10^15` would make it wait forever
-  // where the parser errors out immediately.
-  static constexpr std::int64_t kMaxJobs = 10'000'000;
-  static constexpr std::int64_t kMaxMachines = 1'000'000;
-
-  static bool as_int(const std::string& token, std::int64_t* out) {
-    errno = 0;
-    char* end = nullptr;
-    const long long value = std::strtoll(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0' || errno != 0) return false;
-    *out = value;
-    return true;
-  }
-
-  Status fail() {
-    step_ = Step::kFailed;
-    return Status::kBad;
-  }
-  Status done() {
-    step_ = Step::kDone;
-    return Status::kComplete;
-  }
-
-  Status on_token(const std::string& token) {
-    std::int64_t value = 0;
-    switch (step_) {
-      case Step::kMagic:
-        if (token != "bisched") return fail();
-        step_ = Step::kKind;
-        return Status::kNeedMore;
-      case Step::kKind:
-        if (token != "uniform" && token != "unrelated") return fail();
-        uniform_ = token == "uniform";
-        step_ = Step::kVersion;
-        return Status::kNeedMore;
-      case Step::kVersion:
-        if (token != "v1") return fail();
-        step_ = Step::kJobsKw;
-        return Status::kNeedMore;
-      case Step::kJobsKw:
-        if (token != "jobs") return fail();
-        step_ = Step::kJobsN;
-        return Status::kNeedMore;
-      case Step::kJobsN:
-        if (!as_int(token, &n_) || n_ < 0 || n_ > kMaxJobs) return fail();
-        step_ = uniform_ ? Step::kPKw : Step::kMachinesKw;
-        return Status::kNeedMore;
-
-      case Step::kPKw:
-        if (token != "p") return fail();
-        index_ = 0;
-        array_bad_ = false;
-        step_ = n_ == 0 ? Step::kSpeedsKw : Step::kPVal;
-        return Status::kNeedMore;
-      case Step::kPVal:
-        if (!as_int(token, &value)) return fail();
-        if (value < 1) array_bad_ = true;  // checked after the whole array
-        if (++index_ == n_) {
-          if (array_bad_) return fail();
-          step_ = Step::kSpeedsKw;
-        }
-        return Status::kNeedMore;
-      case Step::kSpeedsKw:
-        if (token != "speeds") return fail();
-        step_ = Step::kSpeedsM;
-        return Status::kNeedMore;
-      case Step::kSpeedsM:
-        if (!as_int(token, &m_) || m_ < 1 || m_ > kMaxMachines) return fail();
-        index_ = 0;
-        array_bad_ = false;
-        step_ = Step::kSpeedVal;
-        return Status::kNeedMore;
-      case Step::kSpeedVal:
-        if (!as_int(token, &value)) return fail();
-        if (value < 1) array_bad_ = true;
-        if (++index_ == m_) {
-          if (array_bad_) return fail();
-          step_ = Step::kEdgesKw;
-        }
-        return Status::kNeedMore;
-
-      case Step::kMachinesKw:
-        if (token != "machines") return fail();
-        step_ = Step::kMachinesM;
-        return Status::kNeedMore;
-      case Step::kMachinesM:
-        if (!as_int(token, &m_) || m_ < 1 || m_ > kMaxMachines) return fail();
-        step_ = Step::kTimesKw;
-        return Status::kNeedMore;
-      case Step::kTimesKw:
-        if (token != "times") return fail();
-        row_ = 0;
-        index_ = 0;
-        array_bad_ = false;
-        step_ = n_ == 0 ? Step::kEdgesKw : Step::kTimesVal;
-        return Status::kNeedMore;
-      case Step::kTimesVal:
-        if (!as_int(token, &value)) return fail();
-        if (value < 0) array_bad_ = true;
-        if (++index_ == n_) {
-          if (array_bad_) return fail();  // rows validate one at a time
-          index_ = 0;
-          if (++row_ == m_) step_ = Step::kEdgesKw;
-        }
-        return Status::kNeedMore;
-
-      case Step::kEdgesKw:
-        if (token != "edges") return fail();
-        step_ = Step::kEdgesK;
-        return Status::kNeedMore;
-      case Step::kEdgesK:
-        if (!as_int(token, &k_) || k_ < 0 || k_ > n_ * n_) return fail();
-        if (k_ == 0) return done();
-        index_ = 0;
-        have_u_ = false;
-        step_ = Step::kEdgeVal;
-        return Status::kNeedMore;
-      case Step::kEdgeVal:
-        if (!as_int(token, &value)) return fail();
-        if (!have_u_) {
-          edge_u_ = value;
-          have_u_ = true;
-          return Status::kNeedMore;
-        }
-        // read_edges validates each pair as it lands, so a bad edge stops
-        // consumption right here, mid-list.
-        if (edge_u_ < 0 || edge_u_ >= n_ || value < 0 || value >= n_ ||
-            edge_u_ == value) {
-          return fail();
-        }
-        have_u_ = false;
-        if (++index_ == k_) return done();
-        return Status::kNeedMore;
-
-      case Step::kDone:
-        return Status::kComplete;
-      case Step::kFailed:
-        return Status::kBad;
-    }
-    return fail();  // unreachable
-  }
-
-  Step step_ = Step::kMagic;
-  bool uniform_ = false;
-  bool array_bad_ = false;
-  bool have_u_ = false;
-  std::int64_t n_ = 0, m_ = 0, k_ = 0;
-  std::int64_t index_ = 0, row_ = 0, edge_u_ = 0;
-};
-
 }  // namespace
 
 // -------------------------------------------------------------- event loop ---
@@ -400,10 +163,9 @@ struct EventLoop::Impl {
     std::string rbuf;
     std::size_t rpos = 0;
     enum class Mode { kLine, kBody, kDiscard } mode = Mode::kLine;
-    InstanceBodyScanner scanner;
-    std::size_t body_start = 0;  // rbuf offset where the pending body begins
-    Frame body_frame;            // `instance` header awaiting its body (and,
-                                 // in discard mode, the frame awaiting resync)
+    InstanceParser parser;  // the pending body, parsed as its bytes arrive
+    Frame body_frame;       // `instance` header awaiting its body (and, in
+                            // discard mode, the frame awaiting resync)
     bool read_eof = false;
 
     // Write side: one buffer, partial-write resume via EPOLLOUT.
@@ -806,13 +568,9 @@ struct EventLoop::Impl {
         break;
       }
       if (s.mode == Session::Mode::kBody) {
-        const auto status = s.scanner.feed(s.rbuf, &s.rpos, s.read_eof);
-        if (status == InstanceBodyScanner::Status::kNeedMore) break;
-        // Replay the consumed range through the real parser: io/format alone
-        // decides validity and error wording, the scanner only found the end.
-        MemBuf mem(s.rbuf.data() + s.body_start, s.rbuf.data() + s.rpos);
-        std::istream body(&mem);
-        auto parsed = std::make_shared<ParsedInstance>(parse_instance(body));
+        const auto status = s.parser.feed(s.rbuf, &s.rpos, s.read_eof);
+        if (status == InstanceParser::Status::kNeedMore) break;
+        auto parsed = std::make_shared<ParsedInstance>(s.parser.take());
         const bool ok = parsed->ok();
         if (s.body_frame.bad.empty()) s.body_frame.req.parsed = std::move(parsed);
         if (ok) {
@@ -865,17 +623,15 @@ struct EventLoop::Impl {
         Frame frame = classify_frame(text, &needs_body);
         if (needs_body) {
           s.mode = Session::Mode::kBody;
-          s.scanner = InstanceBodyScanner();
-          s.body_start = s.rpos;
           s.body_frame = std::move(frame);
           continue;
         }
         dispatch_frame(s, std::move(frame));
       }
     }
-    // Reclaim consumed bytes between frames. Never mid-body or mid-discard:
-    // body_start/rpos index into rbuf until the body is fully handled.
-    if (s.mode == Session::Mode::kLine && s.rpos > 0) {
+    // Reclaim consumed bytes, mid-body too: the parser never reads bytes
+    // before rpos again.
+    if (s.rpos > 0) {
       s.rbuf.erase(0, s.rpos);
       s.rpos = 0;
     }

@@ -1,183 +1,292 @@
 #include "io/format.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
-#include <sstream>
-#include <vector>
+#include <utility>
 
 namespace bisched {
 
 namespace {
 
-// Token stream that skips '#' comments to end of line.
-class Tokens {
- public:
-  explicit Tokens(std::istream& in) : in_(in) {}
-
-  std::optional<std::string> next() {
-    std::string token;
-    while (in_ >> token) {
-      if (token[0] == '#') {
-        std::string rest;
-        std::getline(in_, rest);
-        continue;
-      }
-      return token;
-    }
-    return std::nullopt;
-  }
-
-  bool next_int(std::int64_t* out) {
-    const auto token = next();
-    if (!token.has_value()) return false;
-    errno = 0;
-    char* end = nullptr;
-    const long long value = std::strtoll(token->c_str(), &end, 10);
-    if (end == token->c_str() || *end != '\0' || errno != 0) return false;
-    *out = value;
-    return true;
-  }
-
- private:
-  std::istream& in_;
-};
-
-bool expect(Tokens& tokens, const std::string& literal, std::string* error) {
-  const auto token = tokens.next();
-  if (!token.has_value() || *token != literal) {
-    *error = "expected '" + literal + "'" +
-             (token.has_value() ? ", got '" + *token + "'" : ", got end of input");
-    return false;
-  }
-  return true;
-}
-
-bool read_count(Tokens& tokens, const std::string& keyword, std::int64_t lo, std::int64_t hi,
-                std::int64_t* out, std::string* error) {
-  if (!expect(tokens, keyword, error)) return false;
-  if (!tokens.next_int(out)) {
-    *error = "expected an integer after '" + keyword + "'";
-    return false;
-  }
-  if (*out < lo || *out > hi) {
-    *error = "'" + keyword + "' value " + std::to_string(*out) + " out of range [" +
-             std::to_string(lo) + ", " + std::to_string(hi) + "]";
-    return false;
-  }
-  return true;
-}
-
-bool read_ints(Tokens& tokens, std::int64_t count, std::vector<std::int64_t>* out,
-               const std::string& what, std::string* error) {
-  out->resize(static_cast<std::size_t>(count));
-  for (std::int64_t i = 0; i < count; ++i) {
-    if (!tokens.next_int(&(*out)[static_cast<std::size_t>(i)])) {
-      *error = "expected " + std::to_string(count) + " integers for " + what;
-      return false;
-    }
-  }
-  return true;
-}
-
-bool read_edges(Tokens& tokens, int n, Graph* g, std::string* error) {
-  std::int64_t k = 0;
-  if (!read_count(tokens, "edges", 0, static_cast<std::int64_t>(n) * n, &k, error)) {
-    return false;
-  }
-  for (std::int64_t e = 0; e < k; ++e) {
-    std::int64_t u = 0, v = 0;
-    if (!tokens.next_int(&u) || !tokens.next_int(&v)) {
-      *error = "expected " + std::to_string(k) + " edge lines";
-      return false;
-    }
-    if (u < 0 || u >= n || v < 0 || v >= n || u == v) {
-      *error = "bad edge (" + std::to_string(u) + ", " + std::to_string(v) + ")";
-      return false;
-    }
-    g->add_edge(static_cast<int>(u), static_cast<int>(v));
-  }
-  return true;
-}
-
 constexpr std::int64_t kMaxJobs = 10'000'000;
 constexpr std::int64_t kMaxMachines = 1'000'000;
 
+// The bytes istream extraction treats as whitespace in the "C" locale.
+bool is_space(char c) {
+  return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+
+enum class Scan { kToken, kEnd, kNeedMore };
+
+// Finds the next token in buf[*pos..), skipping whitespace and comments (a
+// token that starts with '#' comments out the rest of its line), and
+// advances *pos past it. Without `eof`, a token or comment touching the end
+// of `buf` may still grow: kNeedMore leaves *pos at its first byte. kEnd
+// (eof only) means nothing but whitespace and comments is left.
+Scan next_token(std::string_view buf, std::size_t* pos, bool eof, std::string_view* token) {
+  std::size_t i = *pos;
+  while (true) {
+    while (i < buf.size() && is_space(buf[i])) ++i;
+    if (i == buf.size() || buf[i] != '#') break;
+    const auto nl = buf.find('\n', i);
+    if (nl == std::string_view::npos && !eof) {
+      *pos = i;
+      return Scan::kNeedMore;
+    }
+    i = nl == std::string_view::npos ? buf.size() : nl + 1;
+  }
+  std::size_t end = i;
+  while (end < buf.size() && !is_space(buf[end])) ++end;
+  if (end == buf.size() && !eof) {
+    *pos = i;
+    return Scan::kNeedMore;
+  }
+  *pos = end;
+  if (i == end) return Scan::kEnd;
+  *token = buf.substr(i, end - i);
+  return Scan::kToken;
+}
+
+// strtoll's base-10 rules on the token read as a C string (it ends at the
+// first NUL): an optional sign, at least one digit, nothing else, no
+// overflow.
+bool to_int(std::string_view token, std::int64_t* out) {
+  token = token.substr(0, token.find('\0'));
+  const bool negative = !token.empty() && token[0] == '-';
+  std::size_t i = !token.empty() && (token[0] == '-' || token[0] == '+') ? 1 : 0;
+  if (i == token.size()) return false;
+  const std::uint64_t limit = std::uint64_t{INT64_MAX} + (negative ? 1 : 0);
+  std::uint64_t value = 0;
+  for (; i < token.size(); ++i) {
+    const unsigned digit = static_cast<unsigned char>(token[i]) - unsigned{'0'};
+    if (digit > 9 || value > (limit - digit) / 10) return false;
+    value = value * 10 + digit;
+  }
+  *out = static_cast<std::int64_t>(negative ? 0 - value : value);
+  return true;
+}
+
+std::string expected(const char* literal, std::optional<std::string_view> token) {
+  return std::string("expected '") + literal + "', got " +
+         (token.has_value() ? "'" + std::string(*token) + "'" : "end of input");
+}
+
+// The value after a count keyword, range-checked.
+bool read_count(std::optional<std::string_view> token, const char* keyword, std::int64_t lo,
+                std::int64_t hi, std::int64_t* out, std::string* error) {
+  if (!token.has_value() || !to_int(*token, out)) {
+    *error = std::string("expected an integer after '") + keyword + "'";
+    return false;
+  }
+  if (*out < lo || *out > hi) {
+    *error = std::string("'") + keyword + "' value " + std::to_string(*out) +
+             " out of range [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    return false;
+  }
+  return true;
+}
+
+std::string expected_ints(std::int64_t count, const char* what) {
+  return "expected " + std::to_string(count) + " integers for " + what;
+}
+
+bool all_at_least(const std::vector<std::int64_t>& values, std::int64_t lo) {
+  return std::all_of(values.begin(), values.end(), [lo](std::int64_t x) { return x >= lo; });
+}
+
+std::string read_all(std::istream& in) {
+  std::string text;
+  char chunk[1 << 14];
+  while (in.read(chunk, sizeof chunk), in.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  return text;
+}
+
 }  // namespace
 
-ParsedInstance parse_instance(std::istream& in) {
-  ParsedInstance result;
-  Tokens tokens(in);
-  if (!expect(tokens, "bisched", &result.error)) return result;
-  const auto kind = tokens.next();
-  if (!kind.has_value() || (*kind != "uniform" && *kind != "unrelated")) {
-    result.error = "expected 'uniform' or 'unrelated' header";
-    return result;
+InstanceParser::Status InstanceParser::feed(std::string_view buf, std::size_t* pos, bool eof) {
+  while (step_ != Step::kDone && step_ != Step::kFailed) {
+    std::string_view token;
+    const Scan scan = next_token(buf, pos, eof, &token);
+    if (scan == Scan::kNeedMore) return Status::kNeedMore;
+    on_token(scan == Scan::kToken ? std::optional(token) : std::nullopt);
   }
-  if (!expect(tokens, "v1", &result.error)) return result;
+  return step_ == Step::kDone ? Status::kDone : Status::kError;
+}
 
-  std::int64_t n = 0;
-  if (!read_count(tokens, "jobs", 0, kMaxJobs, &n, &result.error)) return result;
-
-  if (*kind == "uniform") {
-    std::vector<std::int64_t> p;
-    if (!expect(tokens, "p", &result.error)) return result;
-    if (!read_ints(tokens, n, &p, "p", &result.error)) return result;
-    for (std::int64_t x : p) {
-      if (x < 1) {
-        result.error = "processing requirements must be >= 1";
-        return result;
-      }
-    }
-    std::int64_t m = 0;
-    if (!read_count(tokens, "speeds", 1, kMaxMachines, &m, &result.error)) return result;
-    std::vector<std::int64_t> speeds;
-    if (!read_ints(tokens, m, &speeds, "speeds", &result.error)) return result;
-    for (std::int64_t s : speeds) {
-      if (s < 1) {
-        result.error = "speeds must be >= 1";
-        return result;
-      }
-    }
-    Graph g(static_cast<int>(n));
-    if (!read_edges(tokens, static_cast<int>(n), &g, &result.error)) return result;
-    result.uniform = make_uniform_instance(std::move(p), std::move(speeds), std::move(g));
-    return result;
-  }
-
-  std::int64_t m = 0;
-  if (!read_count(tokens, "machines", 1, kMaxMachines, &m, &result.error)) return result;
-  if (!expect(tokens, "times", &result.error)) return result;
-  std::vector<std::vector<std::int64_t>> times(static_cast<std::size_t>(m));
-  for (std::int64_t i = 0; i < m; ++i) {
-    if (!read_ints(tokens, n, &times[static_cast<std::size_t>(i)], "times row",
-                   &result.error)) {
-      return result;
-    }
-    for (std::int64_t x : times[static_cast<std::size_t>(i)]) {
-      if (x < 0) {
-        result.error = "times must be >= 0";
-        return result;
-      }
-    }
-  }
-  Graph g(static_cast<int>(n));
-  if (!read_edges(tokens, static_cast<int>(n), &g, &result.error)) return result;
-  result.unrelated = make_unrelated_instance(std::move(times), std::move(g));
+ParsedInstance InstanceParser::take() {
+  ParsedInstance result = std::move(result_);
+  *this = InstanceParser();
   return result;
 }
 
+void InstanceParser::expect(std::optional<std::string_view> token, const char* literal,
+                            Step next) {
+  if (token != literal) return fail(expected(literal, token));
+  step_ = next;
+}
+
+bool InstanceParser::count(std::optional<std::string_view> token, const char* keyword,
+                           std::int64_t lo, std::int64_t hi, std::int64_t* out) {
+  if (read_count(token, keyword, lo, hi, out, &result_.error)) return true;
+  step_ = Step::kFailed;
+  return false;
+}
+
+void InstanceParser::fail(std::string error) {
+  result_.error = std::move(error);
+  step_ = Step::kFailed;
+}
+
+void InstanceParser::on_token(std::optional<std::string_view> token) {
+  std::int64_t value = 0;
+  const bool is_int = token.has_value() && to_int(*token, &value);
+  switch (step_) {
+    case Step::kMagic:
+      return expect(token, "bisched", Step::kKind);
+    case Step::kKind:
+      if (token != "uniform" && token != "unrelated") {
+        return fail("expected 'uniform' or 'unrelated' header");
+      }
+      uniform_ = token == "uniform";
+      step_ = Step::kVersion;
+      return;
+    case Step::kVersion:
+      return expect(token, "v1", Step::kJobsKw);
+    case Step::kJobsKw:
+      return expect(token, "jobs", Step::kJobs);
+    case Step::kJobs:
+      if (!count(token, "jobs", 0, kMaxJobs, &n_)) return;
+      step_ = uniform_ ? Step::kPKw : Step::kMachinesKw;
+      return;
+
+    case Step::kPKw:
+      return expect(token, "p", n_ == 0 ? Step::kSpeedsKw : Step::kP);
+    case Step::kP:
+      if (!is_int) return fail(expected_ints(n_, "p"));
+      p_.push_back(value);
+      if (static_cast<std::int64_t>(p_.size()) < n_) return;
+      if (!all_at_least(p_, 1)) return fail("processing requirements must be >= 1");
+      step_ = Step::kSpeedsKw;
+      return;
+    case Step::kSpeedsKw:
+      return expect(token, "speeds", Step::kSpeeds);
+    case Step::kSpeeds:
+      if (!count(token, "speeds", 1, kMaxMachines, &m_)) return;
+      step_ = Step::kSpeedValues;
+      return;
+    case Step::kSpeedValues:
+      if (!is_int) return fail(expected_ints(m_, "speeds"));
+      speeds_.push_back(value);
+      if (static_cast<std::int64_t>(speeds_.size()) < m_) return;
+      if (!all_at_least(speeds_, 1)) return fail("speeds must be >= 1");
+      step_ = Step::kEdgesKw;
+      return;
+
+    case Step::kMachinesKw:
+      return expect(token, "machines", Step::kMachines);
+    case Step::kMachines:
+      if (!count(token, "machines", 1, kMaxMachines, &m_)) return;
+      step_ = Step::kTimesKw;
+      return;
+    case Step::kTimesKw:
+      return expect(token, "times", n_ == 0 ? Step::kEdgesKw : Step::kTimes);
+    case Step::kTimes:
+      if (!is_int) return fail(expected_ints(n_, "times row"));
+      if (times_.empty() || static_cast<std::int64_t>(times_.back().size()) == n_) {
+        times_.emplace_back();
+      }
+      times_.back().push_back(value);
+      if (static_cast<std::int64_t>(times_.back().size()) < n_) return;
+      if (!all_at_least(times_.back(), 0)) return fail("times must be >= 0");
+      if (static_cast<std::int64_t>(times_.size()) == m_) step_ = Step::kEdgesKw;
+      return;
+
+    case Step::kEdgesKw:
+      return expect(token, "edges", Step::kEdges);
+    case Step::kEdges:
+      if (!count(token, "edges", 0, n_ * n_, &k_)) return;
+      graph_.emplace(static_cast<int>(n_));
+      if (k_ == 0) return finish();
+      step_ = Step::kEdgeU;
+      return;
+    case Step::kEdgeU:
+    case Step::kEdgeV:
+      if (!is_int) return fail("expected " + std::to_string(k_) + " edge lines");
+      if (step_ == Step::kEdgeU) {
+        edge_u_ = value;
+        step_ = Step::kEdgeV;
+        return;
+      }
+      if (edge_u_ < 0 || edge_u_ >= n_ || value < 0 || value >= n_ || edge_u_ == value) {
+        return fail("bad edge (" + std::to_string(edge_u_) + ", " + std::to_string(value) + ")");
+      }
+      graph_->add_edge(static_cast<int>(edge_u_), static_cast<int>(value));
+      if (graph_->num_edges() == k_) return finish();
+      step_ = Step::kEdgeU;
+      return;
+
+    case Step::kDone:
+    case Step::kFailed:
+      return;
+  }
+}
+
+void InstanceParser::finish() {
+  if (uniform_) {
+    result_.uniform = make_uniform_instance(std::move(p_), std::move(speeds_), std::move(*graph_));
+  } else {
+    // With no jobs no value arrives, so the m empty rows are made here.
+    times_.resize(static_cast<std::size_t>(m_));
+    result_.unrelated = make_unrelated_instance(std::move(times_), std::move(*graph_));
+  }
+  step_ = Step::kDone;
+}
+
+ParsedInstance parse_instance(std::string_view text) {
+  InstanceParser parser;
+  std::size_t pos = 0;
+  parser.feed(text, &pos, /*eof=*/true);
+  return parser.take();
+}
+
+ParsedInstance parse_instance(std::istream& in) { return parse_instance(read_all(in)); }
+
 std::optional<Schedule> parse_schedule(std::istream& in, std::string* error) {
-  Tokens tokens(in);
   std::string local_error;
   std::string* err = error != nullptr ? error : &local_error;
-  if (!expect(tokens, "bisched", err)) return std::nullopt;
-  if (!expect(tokens, "schedule", err)) return std::nullopt;
-  if (!expect(tokens, "v1", err)) return std::nullopt;
+  const std::string text = read_all(in);
+  std::size_t pos = 0;
+  const auto next = [&]() -> std::optional<std::string_view> {
+    std::string_view token;
+    if (next_token(text, &pos, /*eof=*/true, &token) == Scan::kEnd) return std::nullopt;
+    return token;
+  };
+  for (const char* literal : {"bisched", "schedule", "v1", "jobs"}) {
+    const auto token = next();
+    if (token != literal) {
+      *err = expected(literal, token);
+      return std::nullopt;
+    }
+  }
   std::int64_t n = 0;
-  if (!read_count(tokens, "jobs", 0, kMaxJobs, &n, err)) return std::nullopt;
-  if (!expect(tokens, "machine_of", err)) return std::nullopt;
+  if (!read_count(next(), "jobs", 0, kMaxJobs, &n, err)) return std::nullopt;
+  if (const auto token = next(); token != "machine_of") {
+    *err = expected("machine_of", token);
+    return std::nullopt;
+  }
   std::vector<std::int64_t> raw;
-  if (!read_ints(tokens, n, &raw, "machine_of", err)) return std::nullopt;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const auto token = next();
+    std::int64_t value = 0;
+    if (!token.has_value() || !to_int(*token, &value)) {
+      *err = expected_ints(n, "machine_of");
+      return std::nullopt;
+    }
+    raw.push_back(value);
+  }
   Schedule s;
   s.machine_of.reserve(raw.size());
   for (std::int64_t x : raw) {

@@ -379,7 +379,7 @@ R2Result r2_exact(std::span<const R2Job> jobs) {
   return r;
 }
 
-R2Result r2_fptas(std::span<const R2Job> jobs, double eps, ProbeMode mode) {
+R2Result r2_fptas(std::span<const R2Job> jobs, double eps) {
   BISCHED_CHECK(eps > 0, "eps must be positive");
   for (const auto& job : jobs) BISCHED_CHECK(job.p1 >= 0 && job.p2 >= 0, "negative time");
   const R2Result greedy = r2_greedy(jobs);
@@ -415,28 +415,19 @@ R2Result r2_fptas(std::span<const R2Job> jobs, double eps, ProbeMode mode) {
 
   // Invariant: lo <= OPT (every rejected mid has OPT > mid); hence the final
   // accepted budget is <= OPT and the realized makespan <= (1+eps) OPT.
-  // Eager probes keep the last acceptance's assignment in the arena — which
-  // is exactly feasible(lo)'s, since the last accepted mid becomes the final
-  // hi == lo — so no terminal probe is needed unless the search never
-  // accepted. Value-only probes skip the choice matrix during the whole
-  // search and always run the one terminal materializing probe at lo; the DP
-  // is deterministic per budget, so the assignment is bit-identical.
-  const bool eager = mode == ProbeMode::kEager;
+  // The search probes skip the choice matrix, about half a probe's memory
+  // traffic; one terminal probe at lo writes it and reconstructs.
   i64 lo = std::min(lb, greedy.cmax), hi = greedy.cmax;
-  bool accepted = false;
   while (lo < hi) {
     const i64 mid = lo + (hi - lo) / 2;
-    if (feasible(mid, /*write_choices=*/eager)) {
+    if (feasible(mid, /*write_choices=*/false)) {
       hi = mid;
-      accepted = true;
     } else {
       lo = mid + 1;
     }
   }
-  if (!eager || !accepted) {
-    const bool ok = feasible(lo, /*write_choices=*/true);
-    BISCHED_CHECK(ok, "FPTAS terminal feasibility check failed");
-  }
+  const bool ok = feasible(lo, /*write_choices=*/true);
+  BISCHED_CHECK(ok, "FPTAS terminal feasibility check failed");
   return finalize(jobs, std::move(arena.assignment));
 }
 
@@ -485,10 +476,9 @@ namespace {
 // (s1[j], s2[j]) per row instead of spanning the full budget² grid — and
 // choices are packed 2 bits per state (75% smaller, so more of the matrix
 // stays in cache). Write order is the seed's, so outputs are bit-identical.
-// write_choices == false is the value-only probe form: the 2-bit matrix is
-// neither allocated nor written and only feasibility is answered — values
-// and the reachable set are untouched, so the answer cannot differ.
-bool r3_scaled_feasible(DpArena& arena, i64 budget, bool write_choices) {
+// Every probe writes its choices and reconstructs on success: the 2-bit
+// writes in the sparse push loop cost less than a terminal re-probe.
+bool r3_scaled_feasible(DpArena& arena, i64 budget) {
   const std::size_t n = arena.s1.size();
   const auto width = static_cast<std::size_t>(budget) + 1;
   BISCHED_CHECK(static_cast<double>(n) * static_cast<double>(width) * width <= 4e8,
@@ -498,12 +488,11 @@ bool r3_scaled_feasible(DpArena& arena, i64 budget, bool write_choices) {
   const std::size_t words = (cells + 31) / 32;  // 2 bits per state
   arena.cur.resize(cells);
   arena.next.resize(cells);
-  if (write_choices) arena.choice.resize(n * words);
+  arena.choice.resize(n * words);
   arena.cur[0] = 0;
   std::size_t hi1 = 0, hi2 = 0;
 
   const auto set_choice = [](std::uint64_t* row, std::size_t state, std::uint64_t c) {
-    if (row == nullptr) return;
     const std::size_t shift = 2 * (state % 32);
     std::uint64_t& word = row[state / 32];
     word = (word & ~(3ULL << shift)) | (c << shift);
@@ -515,8 +504,7 @@ bool r3_scaled_feasible(DpArena& arena, i64 budget, bool write_choices) {
     const i64 s3 = std::min(arena.s3[j], kInf);  // kInf + s3 must not overflow
     const std::size_t hi1n = std::min(width - 1, hi1 + s1);
     const std::size_t hi2n = std::min(width - 1, hi2 + s2);
-    std::uint64_t* choice_j =
-        write_choices ? arena.choice.data() + j * words : nullptr;
+    std::uint64_t* choice_j = arena.choice.data() + j * words;
     i64* cur = arena.cur.data();
     i64* next = arena.next.data();
 
@@ -571,7 +559,6 @@ bool r3_scaled_feasible(DpArena& arena, i64 budget, bool write_choices) {
     }
   }
   if (best_l1 == width) return false;
-  if (!write_choices) return true;
 
   arena.assignment.assign(n, 0);
   std::size_t l1 = best_l1;
@@ -593,7 +580,7 @@ bool r3_scaled_feasible(DpArena& arena, i64 budget, bool write_choices) {
 
 }  // namespace
 
-R3Result r3_fptas(std::span<const R3Job> jobs, double eps, ProbeMode mode) {
+R3Result r3_fptas(std::span<const R3Job> jobs, double eps) {
   BISCHED_CHECK(eps > 0, "eps must be positive");
   for (const auto& job : jobs) {
     BISCHED_CHECK(job.p1 >= 0 && job.p2 >= 0 && job.p3 >= 0, "negative time");
@@ -615,7 +602,7 @@ R3Result r3_fptas(std::span<const R3Job> jobs, double eps, ProbeMode mode) {
   arena.s1.resize(jobs.size());
   arena.s2.resize(jobs.size());
   arena.s3.resize(jobs.size());
-  auto feasible = [&](i64 t, bool write_choices) {
+  auto feasible = [&](i64 t) {
     const i64 delta = std::max<i64>(
         1, static_cast<i64>(eps * static_cast<double>(t) / static_cast<double>(n)));
     const i64 budget = t / delta;
@@ -624,26 +611,24 @@ R3Result r3_fptas(std::span<const R3Job> jobs, double eps, ProbeMode mode) {
       arena.s2[j] = jobs[j].p2 / delta;
       arena.s3[j] = jobs[j].p3 / delta;
     }
-    return r3_scaled_feasible(arena, budget, write_choices);
+    return r3_scaled_feasible(arena, budget);
   };
 
-  const bool eager = mode == ProbeMode::kEager;
   i64 lo = std::min(lb, greedy.cmax), hi = greedy.cmax;
   bool accepted = false;
   while (lo < hi) {
     const i64 mid = lo + (hi - lo) / 2;
-    if (feasible(mid, eager)) {
+    if (feasible(mid)) {
       hi = mid;
       accepted = true;
     } else {
       lo = mid + 1;
     }
   }
-  // The last accepted probe (if any) was at t == lo, so materializing at lo
-  // replays it exactly — value-only search returns the eager-mode assignment
-  // bit for bit. Eager mode only re-probes when the search never accepted.
-  if (!eager || !accepted) {
-    const bool ok = feasible(lo, true);
+  // The last accepted probe was at t == lo and left its assignment in the
+  // arena; only a search that never accepted probes lo here.
+  if (!accepted) {
+    const bool ok = feasible(lo);
     BISCHED_CHECK(ok, "R3 FPTAS terminal feasibility check failed");
   }
   return r3_finalize(jobs, std::move(arena.assignment));

@@ -20,14 +20,17 @@
 // answer, bit for bit; greedy's own assignment when greedy is optimal). The
 // FPTASes still binary-search the makespan, because their rounding step
 // depends on the probed makespan. Their probes share one scratch arena (no
-// per-probe allocation) and by default skip the choice matrix while the
-// search narrows; one terminal probe at the accepted makespan writes the
-// choices for reconstruction (Hirschberg-style — recompute once for the
-// answer instead of recording always). The DP kernels run in place over the
+// per-probe allocation). Each FPTAS has one probe mode, chosen by
+// measurement: r2_fptas's search probes skip the choice matrix (about half
+// the dense row's memory traffic) and one terminal probe at the accepted
+// makespan writes the choices for reconstruction (Hirschberg-style —
+// recompute once for the answer instead of recording always); r3_fptas's
+// probes all write their 2-bit choices, which cost less in its sparse push
+// loop than a terminal re-probe would. The DP kernels run in place over the
 // reachable load window only, and the R2 row kernels dispatch at runtime
 // over sched/simd_dispatch.hpp (scalar / AVX2 / AVX-512, `BISCHED_SIMD`
-// overridable); every level and both probe modes return bit-identical
-// results — see docs/perf.md for the kernel design and measurements.
+// overridable); every level returns bit-identical results — see
+// docs/perf.md for the kernel design and measurements.
 #pragma once
 
 #include <cstdint>
@@ -35,21 +38,6 @@
 #include <vector>
 
 namespace bisched {
-
-// How the FPTAS binary searches drive their DP feasibility probes.
-//   kValueOnly — search probes skip the choice matrix entirely (half the
-//                memory traffic in the dense R2 row); one terminal
-//                choice-writing probe at the accepted budget reconstructs.
-//   kEager     — every probe writes choices and the last accepted probe's
-//                reconstruction is returned directly (the PR-3 behavior).
-// Both modes return bit-identical results at every SIMD level (the
-// differential tests sweep the full matrix). Defaults are per solver, set
-// by measurement (bench_hotpaths probe-mode ablation): r2_fptas defaults to
-// kValueOnly (the choice bits are ~half the row traffic), r3_fptas to
-// kEager (2-bit packed writes in the sparse push loop are too cheap to pay
-// back the extra terminal probe) — see docs/perf.md. r2_exact runs a single
-// choice-writing pass and takes no mode.
-enum class ProbeMode { kValueOnly, kEager };
 
 struct R2Job {
   std::int64_t p1 = 0;  // processing time on machine 1
@@ -65,8 +53,7 @@ struct R2Result {
 
 R2Result r2_greedy(std::span<const R2Job> jobs);
 R2Result r2_exact(std::span<const R2Job> jobs);
-R2Result r2_fptas(std::span<const R2Job> jobs, double eps,
-                  ProbeMode mode = ProbeMode::kValueOnly);
+R2Result r2_fptas(std::span<const R2Job> jobs, double eps);
 
 // Optimal Rm||Cmax by branch and bound over job->machine assignments
 // (no incompatibility constraints); exponential, for tests and tiny m/n.
@@ -96,7 +83,6 @@ struct R3Result {
 // Each job on its fastest machine; makespan <= 3 * OPT.
 R3Result r3_greedy(std::span<const R3Job> jobs);
 // (1+eps)-approximate.
-R3Result r3_fptas(std::span<const R3Job> jobs, double eps,
-                  ProbeMode mode = ProbeMode::kEager);
+R3Result r3_fptas(std::span<const R3Job> jobs, double eps);
 
 }  // namespace bisched

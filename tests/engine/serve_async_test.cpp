@@ -148,8 +148,9 @@ TEST(ServeAsync, PipelinedResponsesComeBackInSendOrder) {
 
 // ---------------------------------------------------------------------------
 // A slow writer dribbling one frame byte-by-byte must neither block other
-// sessions (the loop never waits on one socket) nor corrupt framing (the
-// incremental scanner resumes mid-token across reads).
+// sessions (the loop never waits on one socket) nor corrupt framing. That
+// the body parser resumes mid-token with the same result is pinned byte by
+// byte in tests/io/parse_golden_test.cpp; this test covers the socket side.
 
 TEST(ServeAsync, SlowWriterDoesNotBlockOtherSessionsOrBreakFraming) {
   Rng rng(63);

@@ -8,12 +8,10 @@
 // boundary).
 //
 // Every check runs at EVERY dispatch level this host supports (scalar, AVX2,
-// AVX-512 — forced through the BISCHED_SIMD override and a refresh); the
-// FPTAS checks also run in BOTH probe modes (value-only search probes vs the
-// eager choice-writing probes), so the bit-identity contract covers the full
-// dispatch × mode matrix, not just whatever this CPU happens to resolve to.
-// r2_exact has no probe modes: its one DP pass at the greedy makespan must
-// reproduce the seed's binary search at every level.
+// AVX-512 — forced through the BISCHED_SIMD override and a refresh), so the
+// bit-identity contract covers every dispatch level, not just whatever this
+// CPU happens to resolve to. r2_exact's one DP pass at the greedy makespan
+// must reproduce the seed's binary search at every level.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -52,12 +50,6 @@ void for_each_simd_level(Body&& body) {
   }
 }
 
-constexpr ProbeMode kModes[] = {ProbeMode::kValueOnly, ProbeMode::kEager};
-
-const char* mode_name(ProbeMode mode) {
-  return mode == ProbeMode::kValueOnly ? "value-only" : "eager";
-}
-
 std::vector<R2Job> random_r2_jobs(int n, std::int64_t tmin, std::int64_t tmax, Rng& rng) {
   std::vector<R2Job> jobs(static_cast<std::size_t>(n));
   for (auto& job : jobs) {
@@ -78,25 +70,20 @@ std::vector<R3Job> random_r3_jobs(int n, std::int64_t tmin, std::int64_t tmax, R
 }
 
 void expect_r2_identical(const R2Result& want, const R2Result& got, const char* what,
-                         const char* isa, const char* mode, int trial) {
-  EXPECT_EQ(want.cmax, got.cmax) << what << " " << isa << " " << mode << " trial "
-                                 << trial;
-  EXPECT_EQ(want.load1, got.load1) << what << " " << isa << " " << mode << " trial "
-                                   << trial;
-  EXPECT_EQ(want.load2, got.load2) << what << " " << isa << " " << mode << " trial "
-                                   << trial;
-  EXPECT_EQ(want.on_machine2, got.on_machine2)
-      << what << " " << isa << " " << mode << " trial " << trial;
+                         const char* isa, int trial) {
+  EXPECT_EQ(want.cmax, got.cmax) << what << " " << isa << " trial " << trial;
+  EXPECT_EQ(want.load1, got.load1) << what << " " << isa << " trial " << trial;
+  EXPECT_EQ(want.load2, got.load2) << what << " " << isa << " trial " << trial;
+  EXPECT_EQ(want.on_machine2, got.on_machine2) << what << " " << isa << " trial " << trial;
 }
 
 void expect_r3_identical(const R3Result& want, const R3Result& got, const char* isa,
-                         const char* mode, int trial) {
-  EXPECT_EQ(want.cmax, got.cmax) << isa << " " << mode << " trial " << trial;
-  EXPECT_EQ(want.loads[0], got.loads[0]) << isa << " " << mode << " trial " << trial;
-  EXPECT_EQ(want.loads[1], got.loads[1]) << isa << " " << mode << " trial " << trial;
-  EXPECT_EQ(want.loads[2], got.loads[2]) << isa << " " << mode << " trial " << trial;
-  EXPECT_EQ(want.machine_of, got.machine_of)
-      << isa << " " << mode << " trial " << trial;
+                         int trial) {
+  EXPECT_EQ(want.cmax, got.cmax) << isa << " trial " << trial;
+  EXPECT_EQ(want.loads[0], got.loads[0]) << isa << " trial " << trial;
+  EXPECT_EQ(want.loads[1], got.loads[1]) << isa << " trial " << trial;
+  EXPECT_EQ(want.loads[2], got.loads[2]) << isa << " trial " << trial;
+  EXPECT_EQ(want.machine_of, got.machine_of) << isa << " trial " << trial;
 }
 
 TEST(KernelDifferential, R2ExactMatchesSeedBitForBitAtEveryLevel) {
@@ -108,8 +95,7 @@ TEST(KernelDifferential, R2ExactMatchesSeedBitForBitAtEveryLevel) {
       // range forces many exact ties.
       const std::int64_t tmax = 1 + rng.uniform_int(0, 40);
       const auto jobs = random_r2_jobs(n, 0, tmax, rng);
-      expect_r2_identical(reference::r2_exact(jobs), r2_exact(jobs), "r2_exact", isa,
-                          "one-pass", trial);
+      expect_r2_identical(reference::r2_exact(jobs), r2_exact(jobs), "r2_exact", isa, trial);
     }
   });
 }
@@ -132,7 +118,7 @@ TEST(KernelDifferential, R2ExactWideRowsExerciseVectorBlocks) {
   for_each_simd_level([&](const char* isa) {
     for (std::size_t trial = 0; trial < instances.size(); ++trial) {
       expect_r2_identical(want[trial], r2_exact(instances[trial]), "r2_exact_wide", isa,
-                          "one-pass", static_cast<int>(trial));
+                          static_cast<int>(trial));
     }
   });
 }
@@ -148,7 +134,7 @@ TEST(KernelDifferential, R2ExactReturnsGreedyWhenGreedyIsOptimal) {
     EXPECT_EQ(got.on_machine2, std::vector<std::uint8_t>{0}) << isa;
     EXPECT_EQ(got.load1, 6) << isa;
     EXPECT_EQ(got.load2, 0) << isa;
-    expect_r2_identical(reference::r2_exact(tie), got, "greedy_tie", isa, "one-pass", 0);
+    expect_r2_identical(reference::r2_exact(tie), got, "greedy_tie", isa, 0);
   });
 }
 
@@ -161,11 +147,8 @@ TEST(KernelDifferential, R2FptasMatchesSeedBitForBitAtEveryLevel) {
       const std::int64_t tmax = 1 + rng.uniform_int(0, 200);
       const auto jobs = random_r2_jobs(n, 0, tmax, rng);
       const double eps = epsilons[trial % 5];
-      const R2Result want = reference::r2_fptas(jobs, eps);
-      for (const ProbeMode mode : kModes) {
-        expect_r2_identical(want, r2_fptas(jobs, eps, mode), "r2_fptas", isa,
-                            mode_name(mode), trial);
-      }
+      expect_r2_identical(reference::r2_fptas(jobs, eps), r2_fptas(jobs, eps), "r2_fptas",
+                          isa, trial);
     }
   });
 }
@@ -178,11 +161,8 @@ TEST(KernelDifferential, R2WideRowsExerciseVectorBlocks) {
     Rng rng(1005);
     for (int trial = 0; trial < 6; ++trial) {
       const auto jobs = random_r2_jobs(48, 50, 3000, rng);
-      const R2Result want = reference::r2_fptas(jobs, 0.02);
-      for (const ProbeMode mode : kModes) {
-        expect_r2_identical(want, r2_fptas(jobs, 0.02, mode), "r2_wide", isa,
-                            mode_name(mode), trial);
-      }
+      expect_r2_identical(reference::r2_fptas(jobs, 0.02), r2_fptas(jobs, 0.02), "r2_wide",
+                          isa, trial);
     }
   });
 }
@@ -190,29 +170,19 @@ TEST(KernelDifferential, R2WideRowsExerciseVectorBlocks) {
 TEST(KernelDifferential, R2EdgeCasesAtEveryLevel) {
   // Empty, single-job, all-zero, and identical-jobs instances.
   for_each_simd_level([](const char* isa) {
-    for (const ProbeMode mode : kModes) {
-      const char* m = mode_name(mode);
-      const std::vector<R2Job> empty;
-      expect_r2_identical(reference::r2_fptas(empty, 0.1), r2_fptas(empty, 0.1, mode),
-                          "empty", isa, m, 0);
-
-      const std::vector<R2Job> zeros(5, R2Job{0, 0});
-      expect_r2_identical(reference::r2_fptas(zeros, 0.1), r2_fptas(zeros, 0.1, mode),
-                          "zeros", isa, m, 0);
-
-      const std::vector<R2Job> same(7, R2Job{4, 4});
-      expect_r2_identical(reference::r2_fptas(same, 0.5), r2_fptas(same, 0.5, mode),
-                          "same", isa, m, 0);
-    }
-
-    const std::vector<R2Job> zeros(5, R2Job{0, 0});
-    expect_r2_identical(reference::r2_exact(zeros), r2_exact(zeros), "zeros", isa,
-                        "one-pass", 0);
-    const std::vector<R2Job> same(7, R2Job{4, 4});
-    expect_r2_identical(reference::r2_exact(same), r2_exact(same), "same", isa, "one-pass",
+    const std::vector<R2Job> empty;
+    expect_r2_identical(reference::r2_fptas(empty, 0.1), r2_fptas(empty, 0.1), "empty", isa,
                         0);
+    const std::vector<R2Job> zeros(5, R2Job{0, 0});
+    expect_r2_identical(reference::r2_fptas(zeros, 0.1), r2_fptas(zeros, 0.1), "zeros", isa,
+                        0);
+    const std::vector<R2Job> same(7, R2Job{4, 4});
+    expect_r2_identical(reference::r2_fptas(same, 0.5), r2_fptas(same, 0.5), "same", isa, 0);
+
+    expect_r2_identical(reference::r2_exact(zeros), r2_exact(zeros), "zeros", isa, 0);
+    expect_r2_identical(reference::r2_exact(same), r2_exact(same), "same", isa, 0);
     const std::vector<R2Job> one = {{9, 2}};
-    expect_r2_identical(reference::r2_exact(one), r2_exact(one), "one", isa, "one-pass", 0);
+    expect_r2_identical(reference::r2_exact(one), r2_exact(one), "one", isa, 0);
   });
 }
 
@@ -225,11 +195,7 @@ TEST(KernelDifferential, R3FptasMatchesSeedBitForBitAtEveryLevel) {
       const std::int64_t tmax = 1 + rng.uniform_int(0, 60);
       const auto jobs = random_r3_jobs(n, 0, tmax, rng);
       const double eps = epsilons[trial % 4];
-      const R3Result want = reference::r3_fptas(jobs, eps);
-      for (const ProbeMode mode : kModes) {
-        expect_r3_identical(want, r3_fptas(jobs, eps, mode), isa, mode_name(mode),
-                            trial);
-      }
+      expect_r3_identical(reference::r3_fptas(jobs, eps), r3_fptas(jobs, eps), isa, trial);
     }
   });
 }
@@ -246,23 +212,7 @@ TEST(KernelDifferential, R3ZeroSizeJobsFlipTieOrder) {
       job.p2 = rng.uniform_int(0, 3);
       job.p3 = rng.uniform_int(0, 3);
     }
-    const R3Result want = reference::r3_fptas(jobs, 0.3);
-    for (const ProbeMode mode : kModes) {
-      expect_r3_identical(want, r3_fptas(jobs, 0.3, mode), "default", mode_name(mode),
-                          trial);
-    }
-  }
-}
-
-TEST(KernelDifferential, ValueOnlyAndEagerAgreeOnLargeInstances) {
-  // The two probe modes must agree with each other (not just with the seed)
-  // on instances big enough that the binary search runs many rejected probes.
-  Rng rng(1006);
-  for (int trial = 0; trial < 4; ++trial) {
-    const auto jobs = random_r2_jobs(200, 1, 5000, rng);
-    const R2Result eager = r2_fptas(jobs, 0.05, ProbeMode::kEager);
-    const R2Result value_only = r2_fptas(jobs, 0.05, ProbeMode::kValueOnly);
-    expect_r2_identical(eager, value_only, "modes", "default", "cross", trial);
+    expect_r3_identical(reference::r3_fptas(jobs, 0.3), r3_fptas(jobs, 0.3), "default", trial);
   }
 }
 

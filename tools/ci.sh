@@ -434,15 +434,15 @@ grep -q '"p95_ms"' "$BENCH_JSON" || {
   cat "$BENCH_JSON" >&2
   exit 1
 }
-# The per-ISA axis (scalar always exists) and the probe-mode ablation rows.
+# The per-ISA axis (scalar always exists) and one row per FPTAS kernel.
 grep -q '"isa": "scalar"' "$BENCH_JSON" || {
   echo "ci.sh: bench smoke failed: $BENCH_JSON lacks the per-ISA axis" >&2
   cat "$BENCH_JSON" >&2
   exit 1
 }
-grep -q '"mode": "value-only"' "$BENCH_JSON" \
-  && grep -q '"mode": "eager"' "$BENCH_JSON" || {
-  echo "ci.sh: bench smoke failed: $BENCH_JSON lacks probe-mode ablation rows" >&2
+grep -q '"kernel": "r2_fptas"' "$BENCH_JSON" \
+  && grep -q '"kernel": "r3_fptas"' "$BENCH_JSON" || {
+  echo "ci.sh: bench smoke failed: $BENCH_JSON lacks the r2_fptas or r3_fptas row" >&2
   cat "$BENCH_JSON" >&2
   exit 1
 }
