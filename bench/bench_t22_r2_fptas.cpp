@@ -41,7 +41,7 @@ void eps_sweep_table(int n_half, int trials) {
                               static_cast<std::uint64_t>(eps * 1000)));
       const auto inst = build(n_half, 40, rng);
       Timer timer;
-      const auto approx = r2_fptas_bipartite(inst, eps);
+      const auto approx = r2_fptas_bipartite(inst, eps).value();
       ms += timer.millis();
       const auto exact = r2_exact_bipartite(inst);
       const double r =
@@ -63,7 +63,7 @@ void runtime_growth_table() {
     Rng rng(derive_seed(bench::kBenchSeed + 99, static_cast<std::uint64_t>(n_half)));
     const auto inst = build(n_half, 40, rng);
     Timer timer;
-    const auto approx = r2_fptas_bipartite(inst, 0.1);
+    const auto approx = r2_fptas_bipartite(inst, 0.1).value();
     (void)approx;
     const auto red = reduce_r2_bipartite(inst);
     t.add_row({fmt_count(2 * n_half), fmt_count(static_cast<long long>(red.components.size())),

@@ -35,7 +35,7 @@ void agreement_table() {
     const auto dp = q2_unit_exact_dp(inst);
     const double dp_ms = t1.millis();
     Timer t2;
-    const auto via = q2_unit_exact_via_fptas(inst);
+    const auto via = q2_unit_exact_via_fptas(inst).value();
     const double via_ms = t2.millis();
     // Count components for the record.
     const auto bp = bipartition(inst.conflicts);
@@ -94,7 +94,7 @@ void weighted_companion_table() {
     const auto dp = q2_weighted_exact_dp(inst);
     const double dp_ms = timer.millis();
     const auto via = q2_exact_via_r2(inst);
-    const auto fpt = q2_fptas(inst, 0.05);
+    const auto fpt = q2_fptas(inst, 0.05).value();
     t.add_row({fmt_count(2 * n_half), fmt_count(inst.total_work()), dp.cmax.to_string(),
                via.cmax.to_string(), fmt_bool(dp.cmax == via.cmax),
                fmt_ratio(fpt.cmax.to_double() / dp.cmax.to_double()),

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
 
   for (double eps : {0.5, 0.1, 0.01}) {
     timer.reset();
-    const auto fpt = r2_fptas_bipartite(inst, eps);
+    const auto fpt = r2_fptas_bipartite(inst, eps).value();
     t.add_row({"Algorithm 5 (eps=" + fmt_double(eps, 2) + ")", std::to_string(fpt.cmax),
                fmt_ratio(static_cast<double>(fpt.cmax) / exact.cmax),
                fmt_double(timer.millis(), 2)});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "core/r2_algorithms.hpp"
 #include "graph/bipartite.hpp"
@@ -76,12 +77,14 @@ Alg1Result alg1_sqrt_approx(const UniformInstance& inst) {
   }
   const auto set_i = max_weight_independent_superset(inst.conflicts, *bp, inst.p, big);
 
-  // Step 3: S1 = Algorithm 5 on the two fastest machines with eps = 1.
+  // Step 3: S1 = Algorithm 5 on the two fastest machines with eps = 1, or
+  // Algorithm 4 (also 2-approximate) when the FPTAS table would not fit.
   Alg1Result result;
   {
     const UnrelatedInstance two = uniform_as_unrelated(inst, 0, 2);
-    const R2ScheduleResult s1 = r2_fptas_bipartite(two, /*eps=*/1.0);
-    result.schedule.machine_of = s1.schedule.machine_of;  // machines 0/1 map 1:1
+    std::optional<R2ScheduleResult> s1 = r2_fptas_bipartite(two, /*eps=*/1.0);
+    if (!s1.has_value()) s1 = r2_two_approx(two);
+    result.schedule.machine_of = s1->schedule.machine_of;  // machines 0/1 map 1:1
     result.cmax = makespan(inst, result.schedule);
     result.s1_cmax = result.cmax;
   }

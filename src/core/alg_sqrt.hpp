@@ -7,7 +7,10 @@
 //      (p_j >= sqrt(sum p)), if the big jobs are themselves independent
 //      (min-cut computation, src/graph/independent_set).
 //   3. S1 := Algorithm 5 (R2 bipartite FPTAS, eps = 1) on the two fastest
-//      machines — always feasible for bipartite G.
+//      machines — always feasible for bipartite G. When the FPTAS's DP table
+//      would exceed its size guard, S1 is Algorithm 4's schedule there
+//      instead: also a 2-approximation on those machines, which is all the
+//      sqrt(sum p) bound uses of S1.
 //   4-10. If I exists (and m >= 3): compute the lower bound C**_max (least
 //      time whose floored capacities cover everything, M2..Mm cover J\I, and
 //      M1 fits pmax); pick the machine prefix M2..Mk covering J\I; split J\I

@@ -144,16 +144,17 @@ Q2Result q2_weighted_exact_dp(const UniformInstance& inst) {
   return result;
 }
 
-Q2Result q2_fptas(const UniformInstance& inst, double eps) {
+std::optional<Q2Result> q2_fptas(const UniformInstance& inst, double eps) {
   check_preconditions(inst);
   std::int64_t scale = 0;
   const UnrelatedInstance embedded = uniform_as_unrelated(inst, 0, 2, &scale);
-  const R2ScheduleResult solved = r2_fptas_bipartite(embedded, eps);
+  const std::optional<R2ScheduleResult> solved = r2_fptas_bipartite(embedded, eps);
+  if (!solved.has_value()) return std::nullopt;
   Q2Result result;
-  result.schedule = solved.schedule;
+  result.schedule = solved->schedule;
   result.cmax = makespan(inst, result.schedule);
   // Consistency: the embedding scales every makespan by `scale` exactly.
-  BISCHED_DCHECK(result.cmax == Rational(solved.cmax, scale), "embedding scale mismatch");
+  BISCHED_DCHECK(result.cmax == Rational(solved->cmax, scale), "embedding scale mismatch");
   return result;
 }
 

@@ -17,6 +17,8 @@
 // All three agree (cross-checked in tests); they differ in scaling knobs.
 #pragma once
 
+#include <optional>
+
 #include "sched/instance.hpp"
 #include "sched/schedule.hpp"
 #include "util/rational.hpp"
@@ -28,8 +30,9 @@ struct Q2Result {
   Rational cmax;
 };
 
-// Requires m == 2 and bipartite conflicts (all three).
-Q2Result q2_fptas(const UniformInstance& inst, double eps);
+// Requires m == 2 and bipartite conflicts (all three). q2_fptas is nullopt
+// when the FPTAS's DP table would exceed its size guard (r2_fptas_bipartite).
+std::optional<Q2Result> q2_fptas(const UniformInstance& inst, double eps);
 Q2Result q2_exact_via_r2(const UniformInstance& inst);
 Q2Result q2_weighted_exact_dp(const UniformInstance& inst);
 

@@ -148,13 +148,13 @@ Q2ExactResult q2_unit_exact_dp(const UniformInstance& inst) {
   return result;
 }
 
-Q2ExactResult q2_unit_exact_via_fptas(const UniformInstance& inst) {
+std::optional<Q2ExactResult> q2_unit_exact_via_fptas(const UniformInstance& inst) {
   check_preconditions(inst);
   const int n = inst.num_jobs();
   BISCHED_CHECK(bipartition(inst.conflicts).has_value(),
                 "Theorem 4 concerns bipartite graphs");
   if (n == 0) {
-    return {Schedule{}, Rational(0), 0};
+    return Q2ExactResult{Schedule{}, Rational(0), 0};
   }
 
   Q2ExactResult best;
@@ -188,11 +188,12 @@ Q2ExactResult q2_unit_exact_via_fptas(const UniformInstance& inst) {
     times[0].assign(static_cast<std::size_t>(n), n2);  // p_{1,j} = n1*n2 / n1
     times[1].assign(static_cast<std::size_t>(n), n1);  // p_{2,j} = n1*n2 / n2
     const UnrelatedInstance prepared = make_unrelated_instance(times, inst.conflicts);
-    const R2ScheduleResult solved = r2_fptas_bipartite(prepared, eps);
+    const std::optional<R2ScheduleResult> solved = r2_fptas_bipartite(prepared, eps);
+    if (!solved.has_value()) return std::nullopt;
     // Feasible split <=> the FPTAS achieves exactly n1*n2 (any deviation is a
     // relative error > 1/n > eps, which the FPTAS cannot emit).
-    if (solved.cmax != static_cast<std::int64_t>(n1) * n2) continue;
-    consider(n1, solved.schedule);
+    if (solved->cmax != static_cast<std::int64_t>(n1) * n2) continue;
+    consider(n1, solved->schedule);
   }
   BISCHED_CHECK(have_best, "a bipartite instance always admits some split");
   BISCHED_DCHECK(validate(inst, best.schedule) == ScheduleStatus::kValid,

@@ -17,6 +17,8 @@
 //   decides feasibility exactly. O(n) FPTAS invocations (the paper's O(n^3)).
 #pragma once
 
+#include <optional>
+
 #include "sched/instance.hpp"
 #include "sched/schedule.hpp"
 #include "util/rational.hpp"
@@ -29,9 +31,11 @@ struct Q2ExactResult {
   std::int64_t jobs_on_m1 = 0;
 };
 
-// Requires m == 2, all p_j == 1, bipartite conflicts.
+// Requires m == 2, all p_j == 1, bipartite conflicts. The FPTAS route is
+// nullopt when one of its FPTAS tables would exceed the size guard
+// (r2_fptas_bipartite).
 Q2ExactResult q2_unit_exact_dp(const UniformInstance& inst);
-Q2ExactResult q2_unit_exact_via_fptas(const UniformInstance& inst);
+std::optional<Q2ExactResult> q2_unit_exact_via_fptas(const UniformInstance& inst);
 
 // The set of achievable M1 job counts (exposed for tests/benches).
 std::vector<std::uint8_t> q2_achievable_splits(const UniformInstance& inst);

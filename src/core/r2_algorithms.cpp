@@ -20,7 +20,8 @@ R2ScheduleResult r2_two_approx(const UnrelatedInstance& inst) {
   return result;
 }
 
-R2ScheduleResult r2_fptas_bipartite(const UnrelatedInstance& inst, double eps) {
+std::optional<R2ScheduleResult> r2_fptas_bipartite(const UnrelatedInstance& inst,
+                                                   double eps) {
   BISCHED_CHECK(eps > 0, "eps must be positive");
   const R2ScheduleResult warm = r2_two_approx(inst);
   const std::int64_t t = warm.cmax;
@@ -47,7 +48,9 @@ R2ScheduleResult r2_fptas_bipartite(const UnrelatedInstance& inst, double eps) {
   const std::size_t anchor2 = jobs.size();
   jobs.push_back({prohibitive, red.base2});
 
-  const R2Result solved = r2_fptas(jobs, eps);
+  const std::optional<R2Result> fptas = r2_fptas(jobs, eps);
+  if (!fptas.has_value()) return std::nullopt;
+  const R2Result& solved = *fptas;
   BISCHED_CHECK(solved.on_machine2[anchor1] == 0, "anchor 1 strayed from machine 1");
   BISCHED_CHECK(solved.on_machine2[anchor2] == 1, "anchor 2 strayed from machine 2");
 

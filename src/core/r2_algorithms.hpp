@@ -14,6 +14,8 @@
 // The assignment maps back to component orientations with identical loads.
 #pragma once
 
+#include <optional>
+
 #include "core/r2_reduction.hpp"
 #include "sched/instance.hpp"
 #include "sched/schedule.hpp"
@@ -29,8 +31,11 @@ struct R2ScheduleResult {
 R2ScheduleResult r2_two_approx(const UnrelatedInstance& inst);
 
 // Algorithm 5: makespan <= (1 + eps) * OPT. Requires m == 2 and bipartite
-// conflicts; eps > 0 (Algorithm 1 invokes it with eps = 1).
-R2ScheduleResult r2_fptas_bipartite(const UnrelatedInstance& inst, double eps);
+// conflicts; eps > 0 (Algorithm 1 invokes it with eps = 1). nullopt when the
+// FPTAS's DP table would exceed its size guard (r2_fptas) — checked before
+// anything is allocated, so callers fall back cheaply.
+std::optional<R2ScheduleResult> r2_fptas_bipartite(const UnrelatedInstance& inst,
+                                                   double eps);
 
 // Exact optimum via the same reduction plus the pseudo-polynomial R2||Cmax
 // DP over the decision jobs (one pass, O(n * UB) time and bits, UB their

@@ -21,9 +21,12 @@
 // keeps the entry); evictions are counted in Stats and surfaced on the CLI
 // stats line.
 //
-// Keying by the 64-bit hash alone means a hash collision would serve the
-// wrong profile; at ~2^-64 per pair that is the standard content-hash cache
-// trade and is documented rather than defended against.
+// Keying by the 64-bit hash alone means a hash collision serves the wrong
+// profile, and collisions can be constructed (sched/instance_hash.hpp). A
+// wrong profile can admit a solver the instance does not suit; the
+// portfolio's bipartite gate re-checks the instance itself before any
+// bipartite-only solver runs, so it fails cleanly instead of aborting. The
+// collision-proof 128-bit key is still open.
 #pragma once
 
 #include <cstdint>

@@ -26,6 +26,10 @@ namespace {
 // (the registry marks "exact" may_fail) and the portfolio falls through.
 constexpr std::uint64_t kEngineBbNodeBudget = 20'000'000;
 
+// The FPTAS solvers' answer when their one DP pass would not fit its size
+// guard (r2_fptas): a failure, so the portfolio falls through to alg4.
+constexpr const char* kFptasTableTooLarge = "FPTAS DP table too large; raise eps";
+
 using UniformFn = std::function<SolveResult(const UniformInstance&, const SolveOptions&)>;
 using UnrelatedFn = std::function<SolveResult(const UnrelatedInstance&, const SolveOptions&)>;
 using AdmitsFn = std::function<bool(const InstanceProfile&, std::string*)>;
@@ -168,6 +172,7 @@ void register_builtin(SolverRegistry& reg) {
                                 "1+eps");
     c.min_machines = 2;
     c.max_machines = 2;
+    c.may_fail = true;  // DP table past the size guard
     add_solver(reg, "alg5", "Algorithm 5 (Thm 22): FPTAS for R2|G=bipartite|Cmax",
                std::move(c), nullptr,
                [](const UnrelatedInstance& inst, const SolveOptions& options) {
@@ -175,7 +180,8 @@ void register_builtin(SolverRegistry& reg) {
                    return failure("alg5 requires eps > 0");
                  }
                  auto r = r2_fptas_bipartite(inst, options.eps);
-                 return success(std::move(r.schedule), Rational(r.cmax));
+                 if (!r.has_value()) return failure(kFptasTableTooLarge);
+                 return success(std::move(r->schedule), Rational(r->cmax));
                });
   }
 
@@ -296,12 +302,14 @@ void register_builtin(SolverRegistry& reg) {
     // overall; bounded so `auto` never routes a huge corpus through it (the
     // split DP `q2exact` outranks it by registration order anyway).
     c.max_jobs = 400;
+    c.may_fail = true;  // DP table past the size guard
     add_solver(reg, "q2unitfptas",
                "Theorem 4 proof route: unit-job Q2 optimum by FPTAS feasibility probes",
                std::move(c),
                [](const UniformInstance& inst, const SolveOptions&) {
                  auto r = q2_unit_exact_via_fptas(inst);
-                 return success(std::move(r.schedule), r.cmax);
+                 if (!r.has_value()) return failure(kFptasTableTooLarge);
+                 return success(std::move(r->schedule), r->cmax);
                });
   }
 
@@ -310,6 +318,7 @@ void register_builtin(SolverRegistry& reg) {
                                 "1+eps");
     c.min_machines = 2;
     c.max_machines = 2;
+    c.may_fail = true;  // DP table past the size guard
     add_solver(reg, "q2fptas",
                "Algorithm 5 on the speed-scaled R2 embedding: FPTAS for Q2|G=bipartite|Cmax",
                std::move(c),
@@ -318,7 +327,8 @@ void register_builtin(SolverRegistry& reg) {
                    return failure("q2fptas requires eps > 0");
                  }
                  auto r = q2_fptas(inst, options.eps);
-                 return success(std::move(r.schedule), r.cmax);
+                 if (!r.has_value()) return failure(kFptasTableTooLarge);
+                 return success(std::move(r->schedule), r->cmax);
                });
   }
 

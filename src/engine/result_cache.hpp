@@ -27,8 +27,12 @@
 //  - The memory tier is bounded by the same LruMap policy as the profile
 //    cache (true LRU, eviction counter in the stats); the disk tier is
 //    unbounded and keeps evicted entries.
-//  - Keyed by the 64-bit content hash; a collision (~2^-64 per pair) would
-//    alias, the standard content-hash cache trade (see profile_cache.hpp).
+//  - Keyed by the 64-bit content hash, whose collisions can be constructed
+//    (sched/instance_hash.hpp). A colliding hit is caught, not served: the
+//    request path validates every hit's schedule and makespan against the
+//    requesting instance and solves afresh on a mismatch (engine/api.cpp).
+//    Fingerprint-index hits skip that check, and the 128-bit key that would
+//    close both is still open.
 //
 // Thread-safe: one mutex, held only for lookup/insert bookkeeping — entries
 // are stored as shared_ptr, so a hit takes a refcount under the lock and the

@@ -142,8 +142,8 @@ struct Frame {
 
 // Classifies one trimmed, non-blank, non-comment frame line. A native
 // `instance` header comes back classified (id validated, kind kSolve) with
-// *needs_body set and req.parsed still empty: the event loop scans the body
-// incrementally from its read buffer and parses it once complete.
+// *needs_body set and req.parsed still empty: the event loop feeds the body's
+// bytes to the session's InstanceParser (io/format.hpp) as they arrive.
 Frame classify_frame(const std::string& frame, bool* needs_body);
 
 struct ServeStats {

@@ -7,7 +7,7 @@
 //
 //   epoll_wait ─┬─ listener readable  → accept4(NONBLOCK), register session
 //               ├─ session readable   → append to rbuf → frame state machine
-//               │                       (line mode | instance-body scan |
+//               │                       (line mode | instance-body parse |
 //               │                        malformed-body discard) → dispatch
 //               ├─ completion eventfd → drain the finished-response queue,
 //               │                       flush responses in per-session seq

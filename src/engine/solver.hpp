@@ -92,7 +92,8 @@ struct SolverCapabilities {
   Guarantee guarantee = Guarantee::kHeuristic;
   std::string guarantee_label;  // human-readable, e.g. "1+eps", "sqrt(sum p)"
   // True when the solver may fail at runtime even on applicable instances
-  // (greedy dead ends, branch-and-bound budget exhaustion / infeasibility).
+  // (greedy dead ends, branch-and-bound budget exhaustion / infeasibility,
+  // an FPTAS table past its size guard).
   // `auto` prefers solvers that cannot fail at equal guarantee strength.
   bool may_fail = false;
 };

@@ -4,10 +4,17 @@
 // instance: a model tag, the job/machine counts, the processing requirements
 // (or the full time matrix), and the conflict edge set folded in as a
 // commutative sum of per-edge (min, max) hashes — order-independent without
-// sorting. Two instances hash equally iff they have identical content —
-// independent of edge insertion order, of the object's address, and of the
-// process (no pointer or ASLR input) — so the value is a valid cross-run,
-// cross-process cache key. The engine's profile cache
+// sorting. Identical content hashes equally — independent of edge insertion
+// order, of the object's address, and of the process (no pointer or ASLR
+// input) — so the value is a stable cross-run, cross-process cache key. The
+// converse does not hold: distinct instances can collide, and because the
+// edge fold is a wrapping sum, a generalized-birthday search constructs such
+// a pair in seconds (ROADMAP, "Collision-proof cache keys"). The engine
+// defends what a collision reaches today — result-cache hits are verified
+// against the requesting instance (engine/api.cpp), and the portfolio
+// 2-colours the instance itself before any bipartite-only solver runs — but
+// fingerprint-index hits are not checked and the 128-bit key is still open.
+// The engine's profile cache
 // (engine/profile_cache.hpp) keys probe() results by it, and batch/serve
 // result rows surface it so repeated traffic is attributable downstream.
 //

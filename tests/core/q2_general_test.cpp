@@ -59,7 +59,7 @@ TEST_P(Q2FptasEps, WithinGuarantee) {
     const auto inst = testing::random_uniform_instance(
         2 + static_cast<int>(rng.uniform_int(0, 4)), 2 + static_cast<int>(rng.uniform_int(0, 4)),
         2, 9, 4, rng);
-    const auto approx = q2_fptas(inst, eps);
+    const auto approx = q2_fptas(inst, eps).value();
     EXPECT_EQ(validate(inst, approx.schedule), ScheduleStatus::kValid);
     const auto exact = q2_weighted_exact_dp(inst);
     EXPECT_TRUE(exact.cmax <= approx.cmax);
@@ -89,7 +89,7 @@ TEST(Q2General, LargerPseudoPolynomialInstances) {
   const auto dp = q2_weighted_exact_dp(inst);
   const auto via_r2 = q2_exact_via_r2(inst);
   EXPECT_EQ(dp.cmax, via_r2.cmax);
-  const auto fpt = q2_fptas(inst, 0.05);
+  const auto fpt = q2_fptas(inst, 0.05).value();
   EXPECT_LE(fpt.cmax.to_double(), 1.05 * dp.cmax.to_double() + 1e-9);
 }
 

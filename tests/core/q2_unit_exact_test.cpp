@@ -45,7 +45,7 @@ TEST(Q2Exact, IsolatedVerticesGiveAllSplits) {
 TEST(Q2Exact, EmptyInstance) {
   const auto inst = unit_q2(Graph(0), 2, 1);
   EXPECT_EQ(q2_unit_exact_dp(inst).cmax, Rational(0));
-  EXPECT_EQ(q2_unit_exact_via_fptas(inst).cmax, Rational(0));
+  EXPECT_EQ(q2_unit_exact_via_fptas(inst).value().cmax, Rational(0));
 }
 
 TEST(Q2Exact, DpMatchesBranchAndBound) {
@@ -75,7 +75,7 @@ TEST(Q2Exact, FptasRouteMatchesDp) {
     Graph g = random_bipartite_edges(a, b, rng.uniform_int(0, max_m), rng);
     const auto inst = unit_q2(std::move(g), rng.uniform_int(1, 5), rng.uniform_int(1, 5));
     const auto dp = q2_unit_exact_dp(inst);
-    const auto via = q2_unit_exact_via_fptas(inst);
+    const auto via = q2_unit_exact_via_fptas(inst).value();
     EXPECT_EQ(dp.cmax, via.cmax);
     EXPECT_EQ(validate(inst, via.schedule), ScheduleStatus::kValid);
     EXPECT_EQ(makespan(inst, via.schedule), via.cmax);

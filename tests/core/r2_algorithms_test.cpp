@@ -50,7 +50,7 @@ TEST_P(Alg5Eps, WithinGuaranteeOfExact) {
     const auto inst = testing::random_r2_instance(
         1 + static_cast<int>(rng.uniform_int(0, 4)), 1 + static_cast<int>(rng.uniform_int(0, 4)),
         15, rng);
-    const auto approx = r2_fptas_bipartite(inst, eps);
+    const auto approx = r2_fptas_bipartite(inst, eps).value();
     EXPECT_EQ(validate(inst, approx.schedule), ScheduleStatus::kValid);
     const auto exact = exact_unrelated_bb(inst);
     ASSERT_TRUE(exact.feasible);
@@ -69,7 +69,7 @@ TEST(Alg5Fptas, NearExactWithTinyEps) {
     const auto inst = testing::random_r2_instance(
         1 + static_cast<int>(rng.uniform_int(0, 3)), 1 + static_cast<int>(rng.uniform_int(0, 3)),
         9, rng);
-    const auto approx = r2_fptas_bipartite(inst, 1e-9);
+    const auto approx = r2_fptas_bipartite(inst, 1e-9).value();
     const auto exact = exact_unrelated_bb(inst);
     ASSERT_TRUE(exact.feasible);
     EXPECT_EQ(approx.cmax, exact.cmax);
@@ -82,7 +82,7 @@ TEST(Alg5Fptas, NeverWorseThanAlg4) {
     const auto inst = testing::random_r2_instance(
         1 + static_cast<int>(rng.uniform_int(0, 4)), 1 + static_cast<int>(rng.uniform_int(0, 4)),
         20, rng);
-    EXPECT_LE(r2_fptas_bipartite(inst, 0.3).cmax, r2_two_approx(inst).cmax);
+    EXPECT_LE(r2_fptas_bipartite(inst, 0.3).value().cmax, r2_two_approx(inst).cmax);
   }
 }
 
@@ -106,7 +106,7 @@ TEST(R2ExactBipartite, SandwichesApproximations) {
     const auto inst = testing::random_r2_instance(6, 6, 25, rng);
     const auto exact = r2_exact_bipartite(inst);
     const auto two = r2_two_approx(inst);
-    const auto fpt = r2_fptas_bipartite(inst, 0.1);
+    const auto fpt = r2_fptas_bipartite(inst, 0.1).value();
     EXPECT_LE(exact.cmax, two.cmax);
     EXPECT_LE(two.cmax, 2 * exact.cmax);
     EXPECT_LE(exact.cmax, fpt.cmax);
@@ -123,7 +123,7 @@ TEST(Alg5Fptas, CrownInstance) {
     times[1][static_cast<std::size_t>(j)] = 3;
   }
   const auto inst = make_unrelated_instance(std::move(times), std::move(g));
-  const auto approx = r2_fptas_bipartite(inst, 0.01);
+  const auto approx = r2_fptas_bipartite(inst, 0.01).value();
   const auto exact = exact_unrelated_bb(inst);
   ASSERT_TRUE(exact.feasible);
   EXPECT_EQ(approx.cmax, exact.cmax);

@@ -95,6 +95,34 @@ TEST(Portfolio, NamedSolverChecksApplicabilityInsteadOfAborting) {
   EXPECT_NE(eps.error.find("eps"), std::string::npos);
 }
 
+TEST(Portfolio, OversizedFptasTableFallsThroughInsteadOfAborting) {
+  Rng rng(19);
+  // alg5's one DP pass would pass the R2 table guard: a clean failure, and
+  // auto (r2exact already declined by its admits bound) lands on alg4.
+  const auto r2 = testing::oversized_fptas_r2_instance(rng);
+  const auto alg5 = engine::solve_named(SolverRegistry::builtin(), "alg5", r2, {});
+  EXPECT_FALSE(alg5.ok);
+  EXPECT_NE(alg5.error.find("table too large"), std::string::npos) << alg5.error;
+  const auto r2_auto = engine::solve_auto(SolverRegistry::builtin(), r2, {});
+  ASSERT_TRUE(r2_auto.ok) << r2_auto.error;
+  EXPECT_EQ(r2_auto.solver, "alg4");
+  EXPECT_EQ(validate(r2, r2_auto.schedule), ScheduleStatus::kValid);
+
+  // alg1's S1 takes Algorithm 4's schedule when the FPTAS table does not fit.
+  const auto uniform = testing::oversized_fptas_uniform_instance(rng);
+  const auto alg1 = engine::solve_auto(SolverRegistry::builtin(), uniform, {});
+  ASSERT_TRUE(alg1.ok) << alg1.error;
+  EXPECT_EQ(alg1.solver, "alg1");
+  EXPECT_EQ(validate(uniform, alg1.schedule), ScheduleStatus::kValid);
+
+  // q2fptas on the two fastest of those machines fails the same way.
+  const UniformInstance q2 =
+      make_uniform_instance(uniform.p, {4, 3}, Graph(uniform.num_jobs()));
+  const auto q2fptas = engine::solve_named(SolverRegistry::builtin(), "q2fptas", q2, {});
+  EXPECT_FALSE(q2fptas.ok);
+  EXPECT_NE(q2fptas.error.find("table too large"), std::string::npos) << q2fptas.error;
+}
+
 TEST(Portfolio, InfeasibleInstanceReportsFailureNotAbort) {
   Graph edge(2);
   edge.add_edge(0, 1);

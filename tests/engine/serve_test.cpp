@@ -40,7 +40,8 @@ namespace fs = std::filesystem;
 using engine::ServeOptions;
 using engine::SolverRegistry;
 
-std::string instance_text(const UniformInstance& inst) {
+template <typename Instance>
+std::string instance_text(const Instance& inst) {
   std::ostringstream out;
   write_instance(out, inst);
   return out.str();
@@ -200,6 +201,32 @@ TEST(Serve, PathRequestsAndPerRequestAlgOverrides) {
       "{\"id\": \"typo\", \"path\": \"" + path + "\", \"ep\": 0.01}\n", options, &out2);
   EXPECT_EQ(stats2.errors, 1u);
   EXPECT_NE(out2.find("unknown key \\\"ep\\\""), std::string::npos);
+}
+
+TEST(Serve, OversizedFptasInstancesAreAnsweredNotAborted) {
+  // Both pass the R2 table guard — the R2 one inside alg5, the uniform one
+  // inside alg1's S1 — and must get answers, not abort the server.
+  Rng rng(43);
+  const std::string r2_text = instance_text(testing::oversized_fptas_r2_instance(rng));
+  const std::string uniform_text = instance_text(testing::oversized_fptas_uniform_instance(rng));
+  ServeOptions options;
+  options.threads = 1;
+  options.stable_output = true;
+  std::string out;
+  const auto stats = testing::serve_text(
+      "instance r2\n" + r2_text + "instance uniform\n" + uniform_text + "quit\n",
+      options, &out);
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.ok, 2u);
+  const auto lines = lines_of(out);
+  ASSERT_EQ(lines.size(), 2u);
+  for (const auto& line : lines) {
+    EXPECT_NE(line.find("\"status\": \"ok\""), std::string::npos) << line;
+    const bool r2 = line.find("\"id\": \"r2\"") != std::string::npos;
+    EXPECT_NE(line.find(r2 ? "\"solver\": \"alg4\"" : "\"solver\": \"alg1\""),
+              std::string::npos)
+        << line;
+  }
 }
 
 TEST(Serve, MalformedJsonFramesAreAnsweredUnderTheClientsId) {

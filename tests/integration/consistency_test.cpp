@@ -62,7 +62,7 @@ TEST(Consistency, Q2FptasEpsOneIsTwoApproximate) {
     const auto inst = testing::random_uniform_instance(
         2 + static_cast<int>(rng.uniform_int(0, 4)), 2 + static_cast<int>(rng.uniform_int(0, 4)),
         2, 9, 4, rng);
-    const auto coarse = q2_fptas(inst, 1.0);
+    const auto coarse = q2_fptas(inst, 1.0).value();
     const auto exact = q2_weighted_exact_dp(inst);
     EXPECT_TRUE(coarse.cmax <= exact.cmax * Rational(2));
     EXPECT_TRUE(exact.cmax <= coarse.cmax);

@@ -88,7 +88,7 @@ TEST_P(R2Pipeline, ReductionApproxAndFptasContracts) {
   EXPECT_GE(approx.cmax, exact.cmax);
   EXPECT_LE(approx.cmax, 2 * exact.cmax);
 
-  const auto fptas = r2_fptas_bipartite(inst, eps);
+  const auto fptas = r2_fptas_bipartite(inst, eps).value();
   ASSERT_EQ(validate(inst, fptas.schedule), ScheduleStatus::kValid);
   EXPECT_GE(fptas.cmax, exact.cmax);
   EXPECT_LE(static_cast<double>(fptas.cmax),
@@ -112,7 +112,7 @@ TEST_P(Q2Pipeline, ThreeExactRoutesAgree) {
                                           {rng.uniform_int(1, smax), rng.uniform_int(1, smax)},
                                           std::move(g));
   const auto dp = q2_unit_exact_dp(inst);
-  const auto via = q2_unit_exact_via_fptas(inst);
+  const auto via = q2_unit_exact_via_fptas(inst).value();
   const auto bb = exact_uniform_bb(inst);
   ASSERT_TRUE(bb.feasible);
   EXPECT_EQ(dp.cmax, bb.cmax);

@@ -43,7 +43,7 @@ TEST(Robustness, EmptyJobSetUniform) {
 TEST(Robustness, EmptyJobSetUnrelated) {
   const auto inst = make_unrelated_instance({{}, {}}, Graph(0));
   EXPECT_EQ(r2_two_approx(inst).cmax, 0);
-  EXPECT_EQ(r2_fptas_bipartite(inst, 0.5).cmax, 0);
+  EXPECT_EQ(r2_fptas_bipartite(inst, 0.5).value().cmax, 0);
   EXPECT_EQ(r2_exact_bipartite(inst).cmax, 0);
 }
 

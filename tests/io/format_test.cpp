@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "io/parse_corpus.hpp"
 #include "random/generators.hpp"
 #include "testing_util.hpp"
 #include "util/prng.hpp"
@@ -143,44 +144,43 @@ TEST(IoFormat, CommentsAndWhitespaceTolerated) {
 // parser — it either parses (mutation hit whitespace/comments) or reports an
 // error string. The parser is the one component that consumes untrusted
 // input, so it must not BISCHED_CHECK-abort on malformed data.
-TEST(IoFormatFuzz, MutatedInputsNeverCrash) {
-  Rng rng(1234);
-  const auto inst = testing::random_uniform_instance(4, 4, 3, 9, 4, rng);
-  std::ostringstream out;
-  write_instance(out, inst);
-  const std::string base = out.str();
+// Both fuzz corpora come from parse_corpus(), which the parse golden pins
+// body by body; these keep the coarse invariants over the istream form.
+bool has_prefix(const std::string& name, const char* prefix) {
+  return name.rfind(prefix, 0) == 0;
+}
 
-  const char charset[] = "0123456789 -azbc#\n";
-  for (int iter = 0; iter < 500; ++iter) {
-    std::string mutated = base;
-    const int mutations = 1 + static_cast<int>(rng.uniform_int(0, 4));
-    for (int k = 0; k < mutations; ++k) {
-      const auto pos = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(mutated.size()) - 1));
-      mutated[pos] = charset[rng.uniform_int(0, static_cast<std::int64_t>(sizeof charset) - 2)];
-    }
-    std::istringstream in(mutated);
+TEST(IoFormatFuzz, MutatedInputsNeverCrash) {
+  int bodies = 0;
+  for (const testing::CorpusBody& body : testing::parse_corpus()) {
+    if (!has_prefix(body.name, "mutated-")) continue;
+    ++bodies;
+    std::istringstream in(body.text);
     const auto parsed = parse_instance(in);  // must return, never abort
     if (parsed.ok()) {
-      EXPECT_TRUE(parsed.uniform.has_value() || parsed.unrelated.has_value());
+      EXPECT_TRUE(parsed.uniform.has_value() || parsed.unrelated.has_value()) << body.name;
     } else {
-      EXPECT_FALSE(parsed.error.empty());
+      EXPECT_FALSE(parsed.error.empty()) << body.name;
     }
   }
+  EXPECT_EQ(bodies, 1000);  // 500 mutations, each also with a quit frame behind
 }
 
 TEST(IoFormatFuzz, TruncatedInputsNeverCrash) {
-  Rng rng(99);
-  const auto inst = testing::random_r2_instance(3, 3, 9, rng);
-  std::ostringstream out;
-  write_instance(out, inst);
-  const std::string base = out.str();
-  for (std::size_t len = 0; len < base.size(); len += 3) {
-    std::istringstream in(base.substr(0, len));
+  int bodies = 0;
+  for (const testing::CorpusBody& body : testing::parse_corpus()) {
+    // A quit frame behind a truncated body can complete it; only the bare
+    // truncations must fail.
+    if (!has_prefix(body.name, "truncated-") || body.name.find('+') != std::string::npos) {
+      continue;
+    }
+    ++bodies;
+    std::istringstream in(body.text);
     const auto parsed = parse_instance(in);
-    EXPECT_FALSE(parsed.ok());  // truncation always breaks something
-    EXPECT_FALSE(parsed.error.empty());
+    EXPECT_FALSE(parsed.ok()) << body.name;  // truncation always breaks something
+    EXPECT_FALSE(parsed.error.empty()) << body.name;
   }
+  EXPECT_GT(bodies, 0);
 }
 
 TEST(IoFormat, NegativeTimeRejected) {

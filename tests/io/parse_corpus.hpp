@@ -1,8 +1,8 @@
-// The instance bodies the parser golden (parse_golden_test.cpp) and the
-// chunk-invariance test share: the IoFormatFuzz mutated and truncated
-// corpora, the serve golden's broken body, and hand-written edge cases for
-// the tokenizer and the integer rules (NUL bytes, overflow, signs, comments,
-// every whitespace byte). Each body also appears with a `quit` frame behind
+// The instance bodies the parser golden (parse_golden_test.cpp), the
+// chunk-invariance test and the IoFormatFuzz tests (format_test.cpp) share:
+// a mutated and a truncated corpus, the serve golden's broken body, and
+// hand-written edge cases for the tokenizer and the integer rules (NUL
+// bytes, overflow, signs, comments, every whitespace byte). Each body also appears with a `quit` frame behind
 // it, as the serve loop sees it, so the stop offset is pinned mid-buffer too.
 //
 // tests/io/golden/parse_stops.txt holds one line per body:
@@ -32,7 +32,7 @@ struct CorpusBody {
 
 inline std::vector<CorpusBody> parse_corpus() {
   std::vector<CorpusBody> bodies;
-  {  // IoFormatFuzz.MutatedInputsNeverCrash
+  {  // mutated-N: one to five bytes of a valid uniform body replaced
     Rng rng(1234);
     const auto inst = random_uniform_instance(4, 4, 3, 9, 4, rng);
     std::ostringstream out;
@@ -51,7 +51,7 @@ inline std::vector<CorpusBody> parse_corpus() {
       bodies.push_back({"mutated-" + std::to_string(iter), mutated});
     }
   }
-  {  // IoFormatFuzz.TruncatedInputsNeverCrash
+  {  // truncated-N: a valid unrelated body cut to its first N bytes
     Rng rng(99);
     const auto inst = random_r2_instance(3, 3, 9, rng);
     std::ostringstream out;

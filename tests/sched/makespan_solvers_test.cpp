@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "util/prng.hpp"
@@ -87,7 +88,7 @@ TEST_P(R2FptasEps, WithinGuaranteeOfExact) {
   for (int iter = 0; iter < 30; ++iter) {
     const auto jobs = random_jobs(1 + static_cast<int>(rng.uniform_int(0, 11)), 50, rng);
     const auto exact = r2_exact(jobs);
-    const auto approx = r2_fptas(jobs, eps);
+    const auto approx = r2_fptas(jobs, eps).value();
     expect_consistent(approx, jobs);
     // cmax <= (1+eps) * OPT, exact integer arithmetic with rounding slack.
     const double bound = (1.0 + eps) * static_cast<double>(exact.cmax) + 1e-9;
@@ -106,14 +107,33 @@ TEST(R2Fptas, ExactWhenEpsTiny) {
     const auto jobs = random_jobs(1 + static_cast<int>(rng.uniform_int(0, 7)), 12, rng);
     const auto exact = r2_exact(jobs);
     // eps < 1 / (sum of all times) forces delta = 1 -> exact.
-    const auto approx = r2_fptas(jobs, 1e-9);
+    const auto approx = r2_fptas(jobs, 1e-9).value();
     EXPECT_EQ(approx.cmax, exact.cmax);
+  }
+}
+
+TEST(R2Fptas, ExactWhileDeltaRoundsDownToOne) {
+  // delta = max(1, floor(eps * LB / n)): just below eps * LB / n = 2 the
+  // scale is still 1, so the answer is exact. A scale rounded up or taken
+  // from a larger bound than LB rounds times here and misses the optimum.
+  Rng rng(6);
+  for (int iter = 0; iter < 40; ++iter) {
+    const auto jobs = random_jobs(4 + static_cast<int>(rng.uniform_int(0, 8)), 60, rng);
+    std::int64_t lb = 1;
+    std::int64_t sum_min = 0;
+    for (const auto& job : jobs) {
+      lb = std::max(lb, std::min(job.p1, job.p2));
+      sum_min += std::min(job.p1, job.p2);
+    }
+    lb = std::max(lb, (sum_min + 1) / 2);
+    const double eps = 1.99 * static_cast<double>(jobs.size()) / static_cast<double>(lb);
+    EXPECT_EQ(r2_fptas(jobs, eps).value().cmax, r2_exact(jobs).cmax) << "iter " << iter;
   }
 }
 
 TEST(R2Fptas, HandlesZeroJobs) {
   const std::vector<R2Job> zeros{{0, 0}, {0, 7}};
-  const auto r = r2_fptas(zeros, 0.5);
+  const auto r = r2_fptas(zeros, 0.5).value();
   EXPECT_EQ(r.cmax, 0);
 }
 

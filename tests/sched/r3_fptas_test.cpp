@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sched/makespan_solvers.hpp"
@@ -84,6 +85,30 @@ TEST(R3Fptas, ExactWithTinyEpsOnSmallSums) {
     }
     const auto approx = r3_fptas(jobs, 1e-9);
     EXPECT_EQ(approx.cmax, rm_bruteforce_makespan(times));
+  }
+}
+
+TEST(R3Fptas, ExactWhileDeltaRoundsDownToOne) {
+  // As for R2: just below eps * LB / n = 2 the scale is still 1, so the
+  // answer is exact; LB is the larger of the biggest unavoidable job and a
+  // third of the unavoidable total.
+  Rng rng(44);
+  for (int iter = 0; iter < 30; ++iter) {
+    const int n = 4 + static_cast<int>(rng.uniform_int(0, 5));
+    const auto jobs = random_jobs(n, 30, rng);
+    std::vector<std::vector<std::int64_t>> times(3);
+    std::int64_t lb = 1;
+    std::int64_t sum_min = 0;
+    for (const R3Job& job : jobs) {
+      times[0].push_back(job.p1);
+      times[1].push_back(job.p2);
+      times[2].push_back(job.p3);
+      lb = std::max(lb, std::min({job.p1, job.p2, job.p3}));
+      sum_min += std::min({job.p1, job.p2, job.p3});
+    }
+    lb = std::max(lb, (sum_min + 2) / 3);
+    const double eps = 1.99 * static_cast<double>(n) / static_cast<double>(lb);
+    EXPECT_EQ(r3_fptas(jobs, eps).cmax, rm_bruteforce_makespan(times)) << "iter " << iter;
   }
 }
 

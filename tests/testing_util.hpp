@@ -39,6 +39,24 @@ inline UnrelatedInstance random_r2_instance(int a, int b, std::int64_t tmax, Rng
   return make_unrelated_instance(std::move(times), std::move(g));
 }
 
+// The two instances whose FPTAS tables pass the R2 size guard (r2_fptas):
+// 20 000 edgeless R2 jobs with times in [1, 1000] (alg5 at the default eps),
+// and 50 000 edgeless uniform jobs on speeds 4 3 2 1 (alg1's S1 at eps = 1).
+// The guard is decided before the table is allocated, so both are cheap.
+inline UnrelatedInstance oversized_fptas_r2_instance(Rng& rng) {
+  std::vector<std::vector<std::int64_t>> times(2, std::vector<std::int64_t>(20'000));
+  for (auto& row : times) {
+    for (auto& t : row) t = rng.uniform_int(1, 1000);
+  }
+  return make_unrelated_instance(std::move(times), Graph(20'000));
+}
+
+inline UniformInstance oversized_fptas_uniform_instance(Rng& rng) {
+  std::vector<std::int64_t> p(50'000);
+  for (auto& x : p) x = rng.uniform_int(1, 100);
+  return make_uniform_instance(std::move(p), {4, 3, 2, 1}, Graph(50'000));
+}
+
 // Asserts x <= sqrt(bound) * y exactly: x^2 <= bound * y^2 over rationals.
 inline void expect_le_sqrt_times(const Rational& x, std::int64_t bound, const Rational& y,
                                  const char* context) {

@@ -447,17 +447,26 @@ grep -q '"kernel": "r2_fptas"' "$BENCH_JSON" \
   exit 1
 }
 # The exact R2 row (seed binary search vs the one DP pass), and no row of
-# any kernel may report a shipped answer that differs from its reference.
+# any kernel may report a shipped answer that differs from its reference —
+# bit for bit for the exact and min-cut kernels, within (1+eps) of the
+# optimum and no worse than greedy for the one-pass FPTASes.
 grep -q '"kernel": "r2_exact"' "$BENCH_JSON" || {
   echo "ci.sh: bench smoke failed: $BENCH_JSON lacks the r2_exact row" >&2
   cat "$BENCH_JSON" >&2
   exit 1
 }
-if grep -q '"identical": false' "$BENCH_JSON"; then
-  echo "ci.sh: bench smoke failed: a $BENCH_JSON row reports \"identical\": false" >&2
-  grep '"identical": false' "$BENCH_JSON" >&2
+grep -q '"within_guarantee": true' "$BENCH_JSON" || {
+  echo "ci.sh: bench smoke failed: $BENCH_JSON FPTAS rows lack \"within_guarantee\"" >&2
+  cat "$BENCH_JSON" >&2
   exit 1
-fi
+}
+for verdict in identical within_guarantee; do
+  if grep -q "\"$verdict\": false" "$BENCH_JSON"; then
+    echo "ci.sh: bench smoke failed: a $BENCH_JSON row reports \"$verdict\": false" >&2
+    grep "\"$verdict\": false" "$BENCH_JSON" >&2
+    exit 1
+  fi
+done
 # The exact B&B rows: seed and shipped search on both families (the bench
 # itself aborts if the two disagree on an optimum the seed search finished).
 for family in small-uniform crown-16; do
