@@ -7,7 +7,6 @@
 //   * Q|G=complete bipartite, p_j=1|Cmax exact (unary encoding; cited from
 //     [24], NP-hard under binary encoding by [20]): certified optima on
 //     K_{a,b} and the approximation algorithms' true ratios against them.
-//   * R3||Cmax FPTAS — the Theorem 20 substrate instantiated at m = 3.
 #include <vector>
 
 #include "bench_util.hpp"
@@ -18,7 +17,6 @@
 #include "random/generators.hpp"
 #include "random/gilbert.hpp"
 #include "sched/lower_bounds.hpp"
-#include "sched/makespan_solvers.hpp"
 #include "util/prng.hpp"
 #include "util/stats.hpp"
 
@@ -95,52 +93,15 @@ void complete_bipartite_table() {
   t.print(std::cout);
 }
 
-void r3_table() {
-  TextTable t("R3||Cmax FPTAS (Theorem 20 substrate at m = 3), vs brute force, n = 9");
-  t.set_header({"eps", "mean ratio", "max ratio", "guarantee held", "mean ms"});
-  for (double eps : {1.0, 0.5, 0.25, 0.1}) {
-    Welford ratio;
-    bool held = true;
-    double ms = 0;
-    const int trials = 10;
-    for (int trial = 0; trial < trials; ++trial) {
-      Rng rng(derive_seed(bench::kBenchSeed + 77,
-                          static_cast<std::uint64_t>(trial) * 13 +
-                              static_cast<std::uint64_t>(eps * 100)));
-      std::vector<R3Job> jobs(9);
-      std::vector<std::vector<std::int64_t>> times(3, std::vector<std::int64_t>(9));
-      for (int j = 0; j < 9; ++j) {
-        jobs[static_cast<std::size_t>(j)] = {rng.uniform_int(0, 30), rng.uniform_int(0, 30),
-                                             rng.uniform_int(0, 30)};
-        times[0][static_cast<std::size_t>(j)] = jobs[static_cast<std::size_t>(j)].p1;
-        times[1][static_cast<std::size_t>(j)] = jobs[static_cast<std::size_t>(j)].p2;
-        times[2][static_cast<std::size_t>(j)] = jobs[static_cast<std::size_t>(j)].p3;
-      }
-      const std::int64_t opt = rm_bruteforce_makespan(times);
-      Timer timer;
-      const auto approx = r3_fptas(jobs, eps);
-      ms += timer.millis();
-      const double r = opt == 0 ? 1.0 : static_cast<double>(approx.cmax) / opt;
-      ratio.add(r);
-      held = held && static_cast<double>(approx.cmax) <=
-                         (1.0 + eps) * static_cast<double>(opt) + 1e-9;
-    }
-    t.add_row({fmt_double(eps, 2), fmt_ratio(ratio.mean()), fmt_ratio(ratio.max()),
-               fmt_bool(held), fmt_double(ms / trials, 2)});
-  }
-  t.print(std::cout);
-}
-
 }  // namespace
 }  // namespace bisched
 
 int main() {
   bisched::bench::banner(
-      "E1 — extensions: Algorithm 2B, complete-bipartite exact, R3 FPTAS",
+      "E1 — extensions: Algorithm 2B, complete-bipartite exact",
       "Section-6 future work + cited special cases, quantified");
   bisched::alg2b_table(200, 10);
   bisched::alg2b_table(1000, 6);
   bisched::complete_bipartite_table();
-  bisched::r3_table();
   return 0;
 }

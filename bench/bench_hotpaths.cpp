@@ -1,11 +1,11 @@
 // HOTPATHS — before/after microbenches for the profiled hot paths: the
-// R2/R3 FPTAS DP grid (the workhorse behind Theorem 22, Algorithm 1 step 3,
+// R2 FPTAS DP row (the workhorse behind Theorem 22, Algorithm 1 step 3,
 // and every Q2 solver), the exact R2 DP (the r2exact/q2r2exact kernel),
 // Dinic's min-cut (Algorithm 1's independent-set step) and the exact
 // branch-and-bound (the portfolio's first try for n <= 64). "Before" is the seed kernel preserved verbatim in
 // tests/reference_kernels.hpp; "after" is the shipped library. Every
 // comparison also checks the outputs — bit-identical for the exact R2 DP and
-// the min-cut kernels; for the FPTASes (one pass from the lower bound, the
+// the min-cut kernels; for the FPTAS (one pass from the lower bound, the
 // seed binary-searched) within (1+eps) of the exact optimum and no worse
 // than greedy; for the B&B, every shipped schedule valid, of the makespan
 // it reports and not below the lower bound, and the seed's optimum wherever
@@ -72,16 +72,6 @@ std::vector<R2Job> random_r2_jobs(int n, std::int64_t tmax, Rng& rng) {
   return jobs;
 }
 
-std::vector<R3Job> random_r3_jobs(int n, std::int64_t tmax, Rng& rng) {
-  std::vector<R3Job> jobs(static_cast<std::size_t>(n));
-  for (auto& job : jobs) {
-    job.p1 = rng.uniform_int(1, tmax);
-    job.p2 = rng.uniform_int(1, tmax);
-    job.p3 = rng.uniform_int(1, tmax);
-  }
-  return jobs;
-}
-
 // True when an FPTAS makespan keeps its promise: <= (1+eps) * opt and <=
 // greedy's makespan.
 bool within_guarantee(std::int64_t cmax, std::int64_t opt, std::int64_t greedy, double eps) {
@@ -91,59 +81,80 @@ bool within_guarantee(std::int64_t cmax, std::int64_t opt, std::int64_t greedy, 
 
 // r2_fptas: the seed's binary search against the shipped one DP pass from
 // the lower bound, per ISA. OPT comes from the shipped r2_exact, which the
-// differential tests pin to the seed's exact search at every level.
+// differential tests pin to the seed's exact search at every level. The
+// instances, the seed answers with their timings, OPT and greedy do not
+// depend on the dispatch level, so they are computed once per instance,
+// outside the ISA sweep, as in r2_exact_bench.
 void r2_kernel_bench(bench::JsonReport& report, bool quick) {
   TextTable t("R2 FPTAS: seed binary search vs one DP pass, per ISA");
   t.set_header({"isa", "n", "eps", "trials", "seed ms", "opt ms", "speedup",
                 "cmax vs seed", "within guarantee"});
   const int trials = quick ? 2 : 5;
-  const std::vector<std::pair<int, double>> configs =
+  const std::vector<std::pair<int, double>> shapes =
       quick ? std::vector<std::pair<int, double>>{{60, 0.1}, {120, 0.05}}
             : std::vector<std::pair<int, double>>{
                   {200, 0.1}, {200, 0.05}, {400, 0.05}, {400, 0.02}};
+  struct Config {
+    int n = 0;
+    double eps = 0;
+    std::vector<std::vector<R2Job>> instances;
+    std::vector<std::int64_t> opt;
+    std::vector<std::int64_t> greedy;
+    double seed_ms = 0;
+    double seed_cmax = 0;  // summed makespans, for the quality column
+  };
+  std::vector<Config> configs;
+  for (const auto& [n, eps] : shapes) {
+    Config c;
+    c.n = n;
+    c.eps = eps;
+    for (int trial = 0; trial < trials; ++trial) {
+      Rng rng(derive_seed(bench::kBenchSeed + 17,
+                          static_cast<std::uint64_t>(n) * 131 +
+                              static_cast<std::uint64_t>(trial) * 7 +
+                              static_cast<std::uint64_t>(eps * 1e4)));
+      c.instances.push_back(random_r2_jobs(n, 1000, rng));
+      const auto& jobs = c.instances.back();
+      Timer timer;
+      c.seed_cmax += static_cast<double>(reference::r2_fptas(jobs, eps).cmax);
+      c.seed_ms += timer.millis();
+      c.opt.push_back(r2_exact(jobs).cmax);
+      c.greedy.push_back(r2_greedy(jobs).cmax);
+    }
+    configs.push_back(std::move(c));
+  }
   // One axis per dispatch level this host can run: the scalar row is the
   // portable floor, and the AVX2 vs AVX-512 rows isolate the lane-width win.
   for (const SimdLevel level : simd_available_levels()) {
     ScopedSimd forced(level);
     const char* isa = to_string(level);
-    for (const auto& [n, eps] : configs) {
-      double seed_ms = 0;
+    for (const Config& c : configs) {
       double opt_ms = 0;
       bool kept = true;
-      double seed_cmax = 0;  // summed makespans, for the quality column
       double opt_cmax = 0;
       telemetry::Histogram latency(telemetry::Histogram::default_latency_bounds_ms());
-      for (int trial = 0; trial < trials; ++trial) {
-        Rng rng(derive_seed(bench::kBenchSeed + 17,
-                            static_cast<std::uint64_t>(n) * 131 +
-                                static_cast<std::uint64_t>(trial) * 7 +
-                                static_cast<std::uint64_t>(eps * 1e4)));
-        const auto jobs = random_r2_jobs(n, 1000, rng);
+      for (std::size_t trial = 0; trial < c.instances.size(); ++trial) {
         Timer timer;
-        const R2Result before = reference::r2_fptas(jobs, eps);
-        seed_ms += timer.millis();
-        timer.reset();
-        const std::optional<R2Result> after = r2_fptas(jobs, eps);
+        const std::optional<R2Result> after = r2_fptas(c.instances[trial], c.eps);
         const double trial_ms = timer.millis();
         opt_ms += trial_ms;
         latency.observe(trial_ms);
-        seed_cmax += static_cast<double>(before.cmax);
         kept = kept && after.has_value() &&
-               within_guarantee(after->cmax, r2_exact(jobs).cmax, r2_greedy(jobs).cmax, eps);
+               within_guarantee(after->cmax, c.opt[trial], c.greedy[trial], c.eps);
         if (after.has_value()) opt_cmax += static_cast<double>(after->cmax);
       }
-      const double speedup = opt_ms > 0 ? seed_ms / opt_ms : 0;
-      const double cmax_vs_seed = seed_cmax > 0 ? opt_cmax / seed_cmax : 1;
+      const double speedup = opt_ms > 0 ? c.seed_ms / opt_ms : 0;
+      const double cmax_vs_seed = c.seed_cmax > 0 ? opt_cmax / c.seed_cmax : 1;
       const auto lat = latency.snapshot();
-      t.add_row({isa, fmt_count(n), fmt_double(eps, 2), fmt_count(trials),
-                 fmt_double(seed_ms, 2), fmt_double(opt_ms, 2), fmt_ratio(speedup),
+      t.add_row({isa, fmt_count(c.n), fmt_double(c.eps, 2), fmt_count(trials),
+                 fmt_double(c.seed_ms, 2), fmt_double(opt_ms, 2), fmt_ratio(speedup),
                  fmt_double(cmax_vs_seed, 4), fmt_bool(kept)});
       report.add({{"kernel", "r2_fptas"},
                   {"isa", isa},
-                  {"n", n},
-                  {"eps", eps},
+                  {"n", c.n},
+                  {"eps", c.eps},
                   {"trials", trials},
-                  {"seed_ms", seed_ms},
+                  {"seed_ms", c.seed_ms},
                   {"opt_ms", opt_ms},
                   {"p50_ms", lat.percentile(0.5)},
                   {"p95_ms", lat.percentile(0.95)},
@@ -240,65 +251,6 @@ void r2_exact_bench(bench::JsonReport& report, bool quick) {
                   {"speedup", speedup},
                   {"identical", identical}});
     }
-  }
-  t.print(std::cout);
-}
-
-// r3_fptas: the seed's binary search against the shipped one DP pass. OPT
-// comes from the seed search at delta = 1 (eps below 1/sum p), where its
-// feasibility probes are exact.
-void r3_kernel_bench(bench::JsonReport& report, bool quick) {
-  TextTable t("R3 FPTAS: seed binary search vs one DP pass");
-  t.set_header({"n", "eps", "trials", "seed ms", "opt ms", "speedup", "cmax vs seed",
-                "within guarantee"});
-  const int trials = quick ? 2 : 4;
-  const std::vector<std::pair<int, double>> configs =
-      quick ? std::vector<std::pair<int, double>>{{16, 0.4}}
-            : std::vector<std::pair<int, double>>{{24, 0.4}, {32, 0.3}};
-  for (const auto& [n, eps] : configs) {
-    double seed_ms = 0;
-    double opt_ms = 0;
-    bool kept = true;
-    double seed_cmax = 0;
-    double opt_cmax = 0;
-    telemetry::Histogram latency(telemetry::Histogram::default_latency_bounds_ms());
-    for (int trial = 0; trial < trials; ++trial) {
-      Rng rng(derive_seed(bench::kBenchSeed + 23,
-                          static_cast<std::uint64_t>(n) * 131 +
-                              static_cast<std::uint64_t>(trial) * 7 +
-                              static_cast<std::uint64_t>(eps * 1e4)));
-      const auto jobs = random_r3_jobs(n, 200, rng);
-      Timer timer;
-      const R3Result before = reference::r3_fptas(jobs, eps);
-      seed_ms += timer.millis();
-      timer.reset();
-      const R3Result after = r3_fptas(jobs, eps);
-      const double trial_ms = timer.millis();
-      opt_ms += trial_ms;
-      latency.observe(trial_ms);
-      seed_cmax += static_cast<double>(before.cmax);
-      opt_cmax += static_cast<double>(after.cmax);
-      kept = kept && within_guarantee(after.cmax, reference::r3_fptas(jobs, 1e-9).cmax,
-                                      r3_greedy(jobs).cmax, eps);
-    }
-    const double speedup = opt_ms > 0 ? seed_ms / opt_ms : 0;
-    const double cmax_vs_seed = seed_cmax > 0 ? opt_cmax / seed_cmax : 1;
-    const auto lat = latency.snapshot();
-    t.add_row({fmt_count(n), fmt_double(eps, 2), fmt_count(trials),
-               fmt_double(seed_ms, 2), fmt_double(opt_ms, 2), fmt_ratio(speedup),
-               fmt_double(cmax_vs_seed, 4), fmt_bool(kept)});
-    report.add({{"kernel", "r3_fptas"},
-                {"n", n},
-                {"eps", eps},
-                {"trials", trials},
-                {"seed_ms", seed_ms},
-                {"opt_ms", opt_ms},
-                {"p50_ms", lat.percentile(0.5)},
-                {"p95_ms", lat.percentile(0.95)},
-                {"p99_ms", lat.percentile(0.99)},
-                {"speedup", speedup},
-                {"cmax_vs_seed", cmax_vs_seed},
-                {"within_guarantee", kept}});
   }
   t.print(std::cout);
 }
@@ -582,7 +534,6 @@ int main(int argc, char** argv) {
   bench::JsonReport report("hotpaths", argc, argv);
   r2_kernel_bench(report, quick);
   r2_exact_bench(report, quick);
-  r3_kernel_bench(report, quick);
   dinic_bench(report, quick);
   exact_bb_bench(report, quick);
   exact_bb_draws_bench(report, quick);

@@ -281,14 +281,6 @@ R2Result finalize(std::span<const R2Job> jobs, std::vector<std::uint8_t> on_m2) 
   return r;
 }
 
-// The FPTAS scale delta = max(1, floor(eps * lb / n)), capped at ub so the
-// double-to-integer cast cannot overflow for a huge eps.
-i64 fptas_delta(double eps, i64 lb, std::size_t n, i64 ub) {
-  const double delta = std::min(eps * static_cast<double>(lb) / static_cast<double>(n),
-                                static_cast<double>(ub));
-  return std::max<i64>(1, static_cast<i64>(delta));
-}
-
 // Both R2 entry points: times scaled down by delta, one pass at budget
 // floor(UB / delta) with UB the greedy makespan (greedy's scaled loads fit
 // it: sum floor(p / delta) <= floor(sum p / delta)). OPT's own assignment
@@ -345,7 +337,9 @@ std::optional<R2Result> r2_fptas(std::span<const R2Job> jobs, double eps) {
 
   // Lower bounds on OPT: the largest unavoidable job; half the unavoidable
   // total (two machines cannot both dodge sum_j min(p1, p2)). With delta =
-  // eps * lb / n the pass's n * delta additive error is <= eps * OPT.
+  // eps * lb / n the pass's n * delta additive error is <= eps * OPT. delta
+  // is capped at greedy's makespan before the cast, which keeps the cast
+  // defined for any eps the wire admits, up to 1e308 and +inf.
   i64 lb = 1;
   i64 sum_min = 0;
   for (const auto& job : jobs) {
@@ -353,186 +347,10 @@ std::optional<R2Result> r2_fptas(std::span<const R2Job> jobs, double eps) {
     sum_min += std::min(job.p1, job.p2);
   }
   lb = std::max(lb, (sum_min + 1) / 2);
-  const i64 delta = fptas_delta(eps, lb, jobs.size(), greedy.cmax);
-  return r2_scaled_pass(jobs, std::move(greedy), delta);
-}
-
-namespace {
-
-R3Result r3_finalize(std::span<const R3Job> jobs, std::vector<std::uint8_t> machine_of) {
-  R3Result r;
-  r.machine_of = std::move(machine_of);
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    switch (r.machine_of[j]) {
-      case 0:
-        r.loads[0] += jobs[j].p1;
-        break;
-      case 1:
-        r.loads[1] += jobs[j].p2;
-        break;
-      default:
-        r.loads[2] += jobs[j].p3;
-        break;
-    }
-  }
-  r.cmax = std::max({r.loads[0], r.loads[1], r.loads[2]});
-  return r;
-}
-
-// One pass of the two-dimensional DP at `budget`, in the seed's push form —
-// kept deliberately: the reachable set of a 2-D load grid is sparse, so the
-// `l3 == kInf` fast-skip beats recomputing three pull candidates per state
-// (measured in bench_hotpaths; the 1-D R2 grid is dense and pulls). The
-// infinity-fill and the scan cover only the reachable box [0, hi1] x
-// [0, hi2], which grows by at most (s1[j], s2[j]) per row instead of
-// spanning the full budget² grid, and choices are packed 2 bits per state.
-// Returns the least makespan the final grid holds, min over reachable
-// (l1, l2) of max(l1, l2, f[l1][l2]), and writes the assignment of the
-// first state (row-major) that attains it into `machine_of`. As in the R2
-// pass, the caller guarantees some assignment fits the budget.
-i64 r3_dp_pass(std::span<const i64> s1s, std::span<const i64> s2s, std::span<const i64> s3s,
-               i64 budget, std::vector<std::uint8_t>& machine_of) {
-  const std::size_t n = s1s.size();
-  const auto width = static_cast<std::size_t>(budget) + 1;
-  BISCHED_CHECK(static_cast<double>(n) * static_cast<double>(width) * width <= 4e8,
-                "R3 DP table too large; raise eps or shrink the instance");
-
-  const std::size_t cells = width * width;
-  const std::size_t words = (cells + 31) / 32;  // 2 bits per state
-  std::vector<i64> cur_grid(cells);
-  std::vector<i64> next_grid(cells);
-  std::vector<std::uint64_t> choice(n * words);
-  cur_grid[0] = 0;
-  std::size_t hi1 = 0, hi2 = 0;
-
-  const auto set_choice = [](std::uint64_t* row, std::size_t state, std::uint64_t c) {
-    const std::size_t shift = 2 * (state % 32);
-    std::uint64_t& word = row[state / 32];
-    word = (word & ~(3ULL << shift)) | (c << shift);
-  };
-
-  for (std::size_t j = 0; j < n; ++j) {
-    const auto s1 = static_cast<std::size_t>(s1s[j]);
-    const auto s2 = static_cast<std::size_t>(s2s[j]);
-    const i64 s3 = std::min(s3s[j], kInf);  // kInf + s3 must not overflow
-    const std::size_t hi1n = std::min(width - 1, hi1 + s1);
-    const std::size_t hi2n = std::min(width - 1, hi2 + s2);
-    std::uint64_t* choice_j = choice.data() + j * words;
-    const i64* cur = cur_grid.data();
-    i64* next = next_grid.data();
-
-    // Only the box a transition can land in needs the infinity fill; the
-    // grid beyond it holds stale rows and is never read.
-    for (std::size_t l1 = 0; l1 <= hi1n; ++l1) {
-      std::fill(next + l1 * width, next + l1 * width + hi2n + 1, kInf);
-    }
-    for (std::size_t l1 = 0; l1 <= hi1; ++l1) {
-      for (std::size_t l2 = 0; l2 <= hi2; ++l2) {
-        const i64 l3 = cur[l1 * width + l2];
-        if (l3 == kInf) continue;
-        // Machine 3. A load3 beyond the budget is a dead end — no later job
-        // shrinks it — so it is pruned to kInf here rather than propagated;
-        // what the pruning buys is more kInf states for the skip above.
-        const i64 n3 = l3 + s3;
-        if (n3 <= budget && n3 < next[l1 * width + l2]) {
-          next[l1 * width + l2] = n3;
-          set_choice(choice_j, l1 * width + l2, 2);
-        }
-        // Machine 1.
-        const std::size_t n1 = l1 + s1;
-        if (n1 < width && l3 < next[n1 * width + l2]) {
-          next[n1 * width + l2] = l3;
-          set_choice(choice_j, n1 * width + l2, 0);
-        }
-        // Machine 2.
-        const std::size_t n2 = l2 + s2;
-        if (n2 < width && l3 < next[l1 * width + n2]) {
-          next[l1 * width + n2] = l3;
-          set_choice(choice_j, l1 * width + n2, 1);
-        }
-      }
-    }
-    cur_grid.swap(next_grid);
-    hi1 = hi1n;
-    hi2 = hi2n;
-  }
-
-  i64 best = kInf;
-  std::size_t l1 = 0, l2 = 0;
-  for (std::size_t a = 0; a <= hi1; ++a) {
-    for (std::size_t b = 0; b <= hi2; ++b) {
-      const i64 cand = std::max({static_cast<i64>(a), static_cast<i64>(b),
-                                 cur_grid[a * width + b]});
-      if (cand < best) {
-        best = cand;
-        l1 = a;
-        l2 = b;
-      }
-    }
-  }
-  BISCHED_CHECK(best <= budget, "R3 DP pass found no schedule within its budget");
-
-  machine_of.assign(n, 0);
-  for (std::size_t j = n; j-- > 0;) {
-    const std::size_t state = l1 * width + l2;
-    const auto c = static_cast<std::uint8_t>(
-        (choice[j * words + state / 32] >> (2 * (state % 32))) & 3ULL);
-    BISCHED_CHECK(c <= 2, "R3 DP reconstruction hit an unreachable state");
-    machine_of[j] = c;
-    if (c == 0) {
-      l1 -= static_cast<std::size_t>(s1s[j]);
-    } else if (c == 1) {
-      l2 -= static_cast<std::size_t>(s2s[j]);
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
-R3Result r3_greedy(std::span<const R3Job> jobs) {
-  std::vector<std::uint8_t> machine_of(jobs.size(), 0);
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const i64 best = std::min({jobs[j].p1, jobs[j].p2, jobs[j].p3});
-    machine_of[j] = jobs[j].p1 == best ? 0 : (jobs[j].p2 == best ? 1 : 2);
-  }
-  return r3_finalize(jobs, std::move(machine_of));
-}
-
-R3Result r3_fptas(std::span<const R3Job> jobs, double eps) {
-  BISCHED_CHECK(eps > 0, "eps must be positive");
-  for (const auto& job : jobs) {
-    BISCHED_CHECK(job.p1 >= 0 && job.p2 >= 0 && job.p3 >= 0, "negative time");
-  }
-  R3Result greedy = r3_greedy(jobs);
-  if (greedy.cmax == 0) return greedy;
-
-  // The R2 scheme with three machines (r2_scaled_pass): LB is the largest
-  // unavoidable job or a third of the unavoidable total, delta = eps * LB / n,
-  // one pass at floor(UB / delta) for UB greedy's makespan.
-  i64 lb = 1;
-  i64 sum_min = 0;
-  for (const auto& job : jobs) {
-    const i64 mn = std::min({job.p1, job.p2, job.p3});
-    lb = std::max(lb, mn);
-    sum_min += mn;
-  }
-  lb = std::max(lb, (sum_min + 2) / 3);
-  const std::size_t n = jobs.size();
-  const i64 delta = fptas_delta(eps, lb, n, greedy.cmax);
-  std::vector<i64> s1(n), s2(n), s3(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    s1[j] = jobs[j].p1 / delta;
-    s2[j] = jobs[j].p2 / delta;
-    s3[j] = jobs[j].p3 / delta;
-  }
-  std::vector<std::uint8_t> machine_of;
-  const i64 best = r3_dp_pass(s1, s2, s3, greedy.cmax / delta, machine_of);
-  R3Result r = r3_finalize(jobs, std::move(machine_of));
-  BISCHED_CHECK(r.cmax <= delta * best + static_cast<i64>(n) * (delta - 1),
-                "R3 DP pass produced an inconsistent makespan");
-  if (r.cmax < greedy.cmax) return r;
-  return greedy;
+  const double delta =
+      std::min(eps * static_cast<double>(lb) / static_cast<double>(jobs.size()),
+               static_cast<double>(greedy.cmax));
+  return r2_scaled_pass(jobs, std::move(greedy), std::max<i64>(1, static_cast<i64>(delta)));
 }
 
 std::int64_t rm_bruteforce_makespan(const std::vector<std::vector<std::int64_t>>& times,

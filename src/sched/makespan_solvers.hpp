@@ -59,31 +59,7 @@ std::optional<R2Result> r2_fptas(std::span<const R2Job> jobs, double eps);
 std::int64_t rm_bruteforce_makespan(const std::vector<std::vector<std::int64_t>>& times,
                                     std::vector<int>* assignment = nullptr);
 
-// ---- three machines (the Theorem 20 substrate beyond m = 2) ----------------
-//
-// The paper's positive results only consume the m = 2 FPTAS, but Theorem 20
-// (Jansen–Porkolab) is stated for every fixed m; the m = 3 instantiation
-// below follows the same one-pass scheme with a two-dimensional load state
-// (LB from a third of the unavoidable total, UB = greedy <= 3 * OPT),
-// O(n * (n/eps)^2) time — the natural next step of the family and a building
-// block for extending Algorithm 5 beyond two machines.
-
-struct R3Job {
-  std::int64_t p1 = 0;
-  std::int64_t p2 = 0;
-  std::int64_t p3 = 0;
-};
-
-struct R3Result {
-  std::vector<std::uint8_t> machine_of;  // 0, 1, or 2 per job
-  std::int64_t loads[3] = {0, 0, 0};
-  std::int64_t cmax = 0;
-};
-
-// Each job on its fastest machine; makespan <= 3 * OPT.
-R3Result r3_greedy(std::span<const R3Job> jobs);
-// (1+eps)-approximate and <= greedy's makespan; one pass, aborting (not a
-// request path) when the n * (UB/delta + 1)^2 grid would exceed 4e8 states.
-R3Result r3_fptas(std::span<const R3Job> jobs, double eps);
+// The library stops at two machines: Theorem 24 (hardness/thm24.hpp) rules
+// out approximation schemes for Rm|G=bipartite|Cmax at every fixed m >= 3.
 
 }  // namespace bisched

@@ -1,24 +1,21 @@
 // Pre-optimization reference kernels, verbatim from the seed tree.
 //
-// PR 3 rewrote the R2/R3 FPTAS DP kernels (arena-backed, in-place pull form,
-// window-pruned — src/sched/makespan_solvers.cpp) and Dinic (CSR adjacency,
-// ring-buffer BFS — src/graph/maxflow.cpp) with the contract that results
-// stay *bit-identical*: same makespans, same assignments, same residual
-// graphs and min-cut sides. This header preserves the seed implementations
-// as the ground truth for that contract; the differential tests
+// The shipped exact R2 DP (in-place pull form over the reachable window,
+// SIMD row kernels — src/sched/makespan_solvers.cpp) and Dinic (CSR
+// adjacency, ring-buffer BFS — src/graph/maxflow.cpp) promise results
+// *bit-identical* to these: same makespans, same assignments, same residual
+// graphs and min-cut sides. The differential tests
 // (tests/sched/kernel_differential_test.cpp, tests/graph/maxflow_test.cpp)
-// compare the optimized library against it on randomized instances, and
-// bench/bench_hotpaths.cpp measures the speedup against it. The seed exact
-// branch-and-bound (core/exact_bb) is kept the same way, with a weaker
-// contract: the rewritten search must agree on feasibility and on the optimal
-// makespan, not on which optimal schedule it returns. The seed FPTASes
-// (r2_fptas, r3_fptas) binary-search the makespan; the shipped ones scale
-// once from the lower bound and take one DP pass, so they answer differently
-// and are held to their (1+eps) guarantee instead — the seed versions stay
-// as bench_hotpaths' timing baseline, and r3_fptas at eps below 1/sum p
-// (delta = 1, exact feasibility probes) as its R3 optimum. Deliberately
-// unoptimized — do not "fix" or speed these up; their value is being the old
-// behavior.
+// compare the library against this header on randomized instances, and
+// bench/bench_hotpaths.cpp times the library against it. The seed exact
+// branch-and-bound (core/exact_bb) is kept for a weaker contract: the
+// shipped search must agree on feasibility and on the optimal makespan, not
+// on which optimal schedule it returns. The seed r2_fptas binary-searches the
+// makespan while the shipped one scales once from the lower bound, so the
+// two answer differently; the seed version is only bench_hotpaths' timing
+// baseline, and the shipped one is held to its (1+eps) guarantee.
+// Deliberately unoptimized — do not "fix" or speed these up; their value is
+// being the old behavior.
 #pragma once
 
 #include <algorithm>
@@ -197,145 +194,6 @@ inline R2Result r2_fptas(std::span<const R2Job> jobs, double eps) {
   const bool ok = feasible(lo, &on_m2);
   BISCHED_CHECK(ok, "FPTAS terminal feasibility check failed");
   return finalize(jobs, std::move(on_m2));
-}
-
-// ---- seed R3 kernel --------------------------------------------------------
-
-inline R3Result r3_finalize(std::span<const R3Job> jobs,
-                            std::vector<std::uint8_t> machine_of) {
-  R3Result r;
-  r.machine_of = std::move(machine_of);
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    switch (r.machine_of[j]) {
-      case 0:
-        r.loads[0] += jobs[j].p1;
-        break;
-      case 1:
-        r.loads[1] += jobs[j].p2;
-        break;
-      default:
-        r.loads[2] += jobs[j].p3;
-        break;
-    }
-  }
-  r.cmax = std::max({r.loads[0], r.loads[1], r.loads[2]});
-  return r;
-}
-
-inline bool r3_scaled_feasible(std::span<const i64> s1, std::span<const i64> s2,
-                               std::span<const i64> s3, i64 budget,
-                               std::vector<std::uint8_t>& machine_of) {
-  const std::size_t n = s1.size();
-  const auto width = static_cast<std::size_t>(budget) + 1;
-  BISCHED_CHECK(static_cast<double>(n) * static_cast<double>(width) * width <= 4e8,
-                "R3 DP table too large; raise eps or shrink the instance");
-
-  const std::size_t cells = width * width;
-  constexpr std::uint8_t kNoChoice = 255;
-  std::vector<i64> cur(cells, kInf);
-  std::vector<i64> next(cells);
-  std::vector<std::uint8_t> choice(n * cells, kNoChoice);
-  cur[0] = 0;
-
-  for (std::size_t j = 0; j < n; ++j) {
-    std::fill(next.begin(), next.end(), kInf);
-    std::uint8_t* choice_j = choice.data() + j * cells;
-    for (std::size_t l1 = 0; l1 < width; ++l1) {
-      for (std::size_t l2 = 0; l2 < width; ++l2) {
-        const i64 l3 = cur[l1 * width + l2];
-        if (l3 == kInf) continue;
-        const i64 n3 = l3 + s3[j];
-        if (n3 < next[l1 * width + l2]) {
-          next[l1 * width + l2] = n3;
-          choice_j[l1 * width + l2] = 2;
-        }
-        const std::size_t n1 = l1 + static_cast<std::size_t>(s1[j]);
-        if (n1 < width && l3 < next[n1 * width + l2]) {
-          next[n1 * width + l2] = l3;
-          choice_j[n1 * width + l2] = 0;
-        }
-        const std::size_t n2 = l2 + static_cast<std::size_t>(s2[j]);
-        if (n2 < width && l3 < next[l1 * width + n2]) {
-          next[l1 * width + n2] = l3;
-          choice_j[l1 * width + n2] = 1;
-        }
-      }
-    }
-    cur.swap(next);
-  }
-
-  std::size_t best = cells;
-  for (std::size_t state = 0; state < cells; ++state) {
-    if (cur[state] <= budget) {
-      best = state;
-      break;
-    }
-  }
-  if (best == cells) return false;
-
-  machine_of.assign(n, 0);
-  std::size_t l1 = best / width;
-  std::size_t l2 = best % width;
-  for (std::size_t j = n; j-- > 0;) {
-    const std::uint8_t c = choice[j * cells + l1 * width + l2];
-    BISCHED_CHECK(c != kNoChoice, "R3 DP reconstruction hit an unreachable state");
-    machine_of[j] = c;
-    if (c == 0) {
-      l1 -= static_cast<std::size_t>(s1[j]);
-    } else if (c == 1) {
-      l2 -= static_cast<std::size_t>(s2[j]);
-    }
-  }
-  return true;
-}
-
-inline R3Result r3_fptas(std::span<const R3Job> jobs, double eps) {
-  BISCHED_CHECK(eps > 0, "eps must be positive");
-  for (const auto& job : jobs) {
-    BISCHED_CHECK(job.p1 >= 0 && job.p2 >= 0 && job.p3 >= 0, "negative time");
-  }
-  const R3Result greedy = bisched::r3_greedy(jobs);
-  if (greedy.cmax == 0 || jobs.empty()) return greedy;
-
-  const auto n = static_cast<i64>(jobs.size());
-  i64 lb = 1;
-  i64 sum_min = 0;
-  for (const auto& job : jobs) {
-    const i64 mn = std::min({job.p1, job.p2, job.p3});
-    lb = std::max(lb, mn);
-    sum_min += mn;
-  }
-  lb = std::max(lb, (sum_min + 2) / 3);
-
-  auto feasible = [&](i64 t, std::vector<std::uint8_t>* out) {
-    const i64 delta = std::max<i64>(
-        1, static_cast<i64>(eps * static_cast<double>(t) / static_cast<double>(n)));
-    const i64 budget = t / delta;
-    std::vector<i64> s1(jobs.size()), s2(jobs.size()), s3(jobs.size());
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      s1[j] = jobs[j].p1 / delta;
-      s2[j] = jobs[j].p2 / delta;
-      s3[j] = jobs[j].p3 / delta;
-    }
-    std::vector<std::uint8_t> machine_of;
-    if (!r3_scaled_feasible(s1, s2, s3, budget, machine_of)) return false;
-    if (out != nullptr) *out = std::move(machine_of);
-    return true;
-  };
-
-  i64 lo = std::min(lb, greedy.cmax), hi = greedy.cmax;
-  while (lo < hi) {
-    const i64 mid = lo + (hi - lo) / 2;
-    if (feasible(mid, nullptr)) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  std::vector<std::uint8_t> machine_of;
-  const bool ok = feasible(lo, &machine_of);
-  BISCHED_CHECK(ok, "R3 FPTAS terminal feasibility check failed");
-  return r3_finalize(jobs, std::move(machine_of));
 }
 
 // ---- seed Dinic (intrusive adjacency lists + std::queue BFS) ---------------

@@ -1,4 +1,4 @@
-// Differential tests for the optimized R2/R3 DP kernels, across randomized
+// Differential tests for the optimized R2 DP kernels, across randomized
 // instances that exercise the edge cases (zero processing times, which flip
 // the tie-break priority; duplicate times, which create ties; tiny and empty
 // instances; and eps values from coarse to fine, which move the
@@ -6,11 +6,11 @@
 //
 // r2_exact must return *bit-identical* results — same cmax, same loads, same
 // per-job assignment — as the seed's binary search preserved in
-// tests/reference_kernels.hpp. The FPTASes scale once from the lower bound
-// and so answer differently from the seed's searches; they are held to what
-// they promise instead: every dispatch level returns exactly the scalar
-// level's result, cmax <= (1+eps) * OPT (OPT from the seed's exact R2 DP, or
-// from brute force for R3), and cmax <= greedy's.
+// tests/reference_kernels.hpp. r2_fptas scales once from the lower bound
+// and so answers differently from the seed's search; it is held to what it
+// promises instead: every dispatch level returns exactly the scalar level's
+// result, cmax <= (1+eps) * OPT (OPT from the seed's exact DP), and
+// cmax <= greedy's.
 //
 // Every check runs at EVERY dispatch level this host supports (scalar, AVX2,
 // AVX-512 — forced through the BISCHED_SIMD override and a refresh), so the
@@ -63,31 +63,12 @@ std::vector<R2Job> random_r2_jobs(int n, std::int64_t tmin, std::int64_t tmax, R
   return jobs;
 }
 
-std::vector<R3Job> random_r3_jobs(int n, std::int64_t tmin, std::int64_t tmax, Rng& rng) {
-  std::vector<R3Job> jobs(static_cast<std::size_t>(n));
-  for (auto& job : jobs) {
-    job.p1 = rng.uniform_int(tmin, tmax);
-    job.p2 = rng.uniform_int(tmin, tmax);
-    job.p3 = rng.uniform_int(tmin, tmax);
-  }
-  return jobs;
-}
-
 void expect_r2_identical(const R2Result& want, const R2Result& got, const char* what,
                          const char* isa, int trial) {
   EXPECT_EQ(want.cmax, got.cmax) << what << " " << isa << " trial " << trial;
   EXPECT_EQ(want.load1, got.load1) << what << " " << isa << " trial " << trial;
   EXPECT_EQ(want.load2, got.load2) << what << " " << isa << " trial " << trial;
   EXPECT_EQ(want.on_machine2, got.on_machine2) << what << " " << isa << " trial " << trial;
-}
-
-void expect_r3_identical(const R3Result& want, const R3Result& got, const char* isa,
-                         int trial) {
-  EXPECT_EQ(want.cmax, got.cmax) << isa << " trial " << trial;
-  EXPECT_EQ(want.loads[0], got.loads[0]) << isa << " trial " << trial;
-  EXPECT_EQ(want.loads[1], got.loads[1]) << isa << " trial " << trial;
-  EXPECT_EQ(want.loads[2], got.loads[2]) << isa << " trial " << trial;
-  EXPECT_EQ(want.machine_of, got.machine_of) << isa << " trial " << trial;
 }
 
 // The FPTAS contract at one dispatch level: the scalar level's exact result,
@@ -114,28 +95,6 @@ void expect_r2_fptas_contract(const std::vector<R2Job>& jobs, double eps, const 
     const R2Result got = r2_fptas(jobs, eps).value();
     expect_r2_identical(scalar, got, what, isa, trial);
     expect_within_guarantee(got.cmax, opt, greedy, eps, what, isa, trial);
-  });
-}
-
-// The same for r3_fptas, with OPT by brute force.
-void expect_r3_fptas_contract(const std::vector<R3Job>& jobs, double eps, int trial) {
-  std::vector<std::vector<std::int64_t>> times(3);
-  for (const R3Job& job : jobs) {
-    times[0].push_back(job.p1);
-    times[1].push_back(job.p2);
-    times[2].push_back(job.p3);
-  }
-  const std::int64_t opt = rm_bruteforce_makespan(times);
-  const std::int64_t greedy = r3_greedy(jobs).cmax;
-  R3Result scalar;
-  {
-    ForcedSimd forced(SimdLevel::kScalar);
-    scalar = r3_fptas(jobs, eps);
-  }
-  for_each_simd_level([&](const char* isa) {
-    const R3Result got = r3_fptas(jobs, eps);
-    expect_r3_identical(scalar, got, isa, trial);
-    expect_within_guarantee(got.cmax, opt, greedy, eps, "r3_fptas", isa, trial);
   });
 }
 
@@ -228,33 +187,6 @@ TEST(KernelDifferential, R2EdgeCasesAtEveryLevel) {
     const std::vector<R2Job> one = {{9, 2}};
     expect_r2_identical(reference::r2_exact(one), r2_exact(one), "one", isa, 0);
   });
-}
-
-TEST(KernelDifferential, R3FptasAgreesAcrossLevelsWithinGuarantee) {
-  Rng rng(1003);
-  const double epsilons[] = {1.0, 0.6, 0.4, 0.25};
-  for (int trial = 0; trial < 30; ++trial) {
-    const int n = 1 + static_cast<int>(rng.uniform_int(0, 14));
-    const std::int64_t tmax = 1 + rng.uniform_int(0, 60);
-    const auto jobs = random_r3_jobs(n, 0, tmax, rng);
-    expect_r3_fptas_contract(jobs, epsilons[trial % 4], trial);
-  }
-}
-
-TEST(KernelDifferential, R3ZeroSizeJobsFlipTieOrder) {
-  // Scaled sizes of 0 make the push kernel's three writes into one state
-  // race in every priority order; feed literal zeros so each is exercised.
-  Rng rng(1004);
-  for (int trial = 0; trial < 30; ++trial) {
-    const int n = 1 + static_cast<int>(rng.uniform_int(0, 10));
-    std::vector<R3Job> jobs(static_cast<std::size_t>(n));
-    for (auto& job : jobs) {
-      job.p1 = rng.uniform_int(0, 3);
-      job.p2 = rng.uniform_int(0, 3);
-      job.p3 = rng.uniform_int(0, 3);
-    }
-    expect_r3_fptas_contract(jobs, 0.3, trial);
-  }
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
+#include "engine/portfolio.hpp"
+#include "sched/schedule.hpp"
+#include "testing_util.hpp"
 #include "util/prng.hpp"
 
 namespace bisched {
@@ -135,6 +139,37 @@ TEST(R2Fptas, HandlesZeroJobs) {
   const std::vector<R2Job> zeros{{0, 0}, {0, 7}};
   const auto r = r2_fptas(zeros, 0.5).value();
   EXPECT_EQ(r.cmax, 0);
+}
+
+TEST(R2Fptas, HugeEpsCapsTheScaleAtGreedy) {
+  // The wire admits any positive double for eps, 1e308 and inf included.
+  // eps * LB / n is capped at greedy's makespan before the integer cast, so
+  // every eps past the cap answers exactly as an in-range eps at the cap
+  // does: a real schedule no worse than greedy's, never the product of an
+  // out-of-range cast.
+  Rng rng(7);
+  for (int iter = 0; iter < 20; ++iter) {
+    const auto jobs = random_jobs(1 + static_cast<int>(rng.uniform_int(0, 20)), 500, rng);
+    const std::int64_t greedy = r2_greedy(jobs).cmax;
+    // LB >= 1, so this eps already puts eps * LB / n at twice greedy's makespan.
+    const auto at_cap = r2_fptas(jobs, 2.0 * static_cast<double>(jobs.size()) *
+                                           static_cast<double>(greedy)).value();
+    for (const double eps : {1e308, std::numeric_limits<double>::infinity()}) {
+      const auto r = r2_fptas(jobs, eps);
+      ASSERT_TRUE(r.has_value()) << "eps " << eps << " iter " << iter;
+      expect_consistent(*r, jobs);
+      EXPECT_LE(r->cmax, greedy) << "eps " << eps << " iter " << iter;
+      EXPECT_EQ(r->on_machine2, at_cap.on_machine2) << "eps " << eps << " iter " << iter;
+    }
+  }
+  Rng inst_rng(8);
+  const auto r2 = testing::random_r2_instance(6, 6, 40, inst_rng);
+  engine::SolveOptions options;
+  options.eps = std::numeric_limits<double>::infinity();
+  const auto result =
+      engine::solve_named(engine::SolverRegistry::builtin(), "alg5", r2, options);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(validate(r2, result.schedule), ScheduleStatus::kValid);
 }
 
 TEST(RmBruteForce, ThreeMachines) {
