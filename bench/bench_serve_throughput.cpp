@@ -93,8 +93,8 @@ void throughput_table(unsigned wide_threads, bench::JsonReport& report) {
       std::uint64_t warm_ok = 0;
       const double cold_s = run_pass(requests, threads, warm, &cold_ok);
       const double warm_s = run_pass(requests, threads, warm, &warm_ok);
-      const auto probe_stats = warm.profiles().stats();
-      const auto result_stats = warm.results().stats();
+      const engine::CacheStats probe_stats = warm.profiles().stats();
+      const engine::CacheStats result_stats = warm.results().stats();
       t.add_row({fmt_count(2 * n_half), fmt_count(kRequests), fmt_count(threads),
                  fmt_count(static_cast<long long>(cold_ok / cold_s)),
                  fmt_count(static_cast<long long>(warm_ok / warm_s)),

@@ -97,7 +97,7 @@ Pass run_pass(const std::vector<ParsedInstance>& corpus, engine::WarmState& warm
 
 void report_row(bench::JsonReport& report, TextTable& t, const char* phase,
                 const Pass& pass, double cold_s, std::size_t requests,
-                const engine::ResultCache::Stats& results) {
+                const engine::CacheStats& results) {
   const double req_s = static_cast<double>(requests) / pass.seconds;
   t.add_row({phase, fmt_count(static_cast<long long>(requests)),
              fmt_count(static_cast<long long>(req_s)), fmt_ratio(cold_s / pass.seconds),

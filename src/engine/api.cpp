@@ -295,18 +295,20 @@ SolveResponse run_parsed_hashed(const SolverRegistry& registry, WarmState& warm,
 // profile (for the `cache` label and its counters) and the result must
 // still be cached, else nullopt and nothing was counted — the caller falls
 // through to the full path, which counts its own lookups exactly as if the
-// index did not exist.
+// index did not exist. contains() checks before anything is counted; only
+// an eviction racing between it and the get counts an extra miss. These hits skip run_parsed_hashed's verified-hit
+// check, so a result stored under a colliding 64-bit instance hash would be
+// served unchecked; the 128-bit key that would close this is still open.
 std::optional<SolveResponse> answer_known(WarmState& warm, const FingerprintEntry& entry,
                                           const std::string& alg, const SolveOptions& solve,
                                           SolveResult* full, telemetry::TraceSpan* span) {
   Timer timer;
-  if (warm.profiles().lookup_hash(entry.hash, /*record=*/false) == CacheTier::kMiss) {
-    return std::nullopt;
-  }
+  if (!warm.profiles().contains(entry.hash)) return std::nullopt;
+  const ResultKey key = make_result_key(entry.hash, alg, solve);
   CacheTier result_tier = CacheTier::kMiss;
   telemetry::TraceSpan* result_span = span->child("result");
-  auto hit = warm.results().lookup(make_result_key(entry.hash, alg, solve), &result_tier,
-                                   /*count_miss=*/false);
+  std::optional<SolveResult> hit;
+  if (warm.results().contains(key)) hit = warm.results().lookup(key, &result_tier);
   result_span->set_detail(tier_label(result_tier));
   result_span->end();
   if (!hit.has_value()) return std::nullopt;
@@ -316,9 +318,9 @@ std::optional<SolveResponse> answer_known(WarmState& warm, const FingerprintEntr
   row.jobs = entry.jobs;
   row.machines = entry.machines;
   row.instance_hash = hash_hex(entry.hash);
-  // Committed only now that the answer is certain: a hit is counted (and a
-  // disk-tier profile promoted) exactly as the probe path would have.
-  row.cache_tier = warm.profiles().lookup_hash(entry.hash, /*record=*/true);
+  // Counted only now that the answer is certain: a hit (and a disk-tier
+  // profile's promotion) exactly as the probe path would have.
+  warm.profiles().get(entry.hash, &row.cache_tier);
   row.result_cache_used = true;
   row.result_tier = result_tier;
   row.wall_ms = timer.millis();

@@ -1,13 +1,13 @@
 // LruMap: the one bounded-map policy shared by the engine's caches.
 //
-// ProfileCache and ResultCache both face the same problem — a long-lived
-// serve process must not grow memory without limit — so both sit on this
-// map: an unordered_map into an intrusive recency list, true
-// least-recently-used eviction (get() promotes, put() evicts the coldest
-// entry once `capacity` is reached), and an eviction counter the owners
-// surface in their stats lines. Not thread-safe by design: the owning cache
-// already holds a mutex around every call, and keeping the lock out of here
-// keeps the policy testable in isolation.
+// A long-lived serve process must not grow memory without limit, so the
+// memory tier of TieredCache (engine/tiered_cache.hpp) and the fingerprint
+// index (engine/fingerprint_index.hpp) sit on this map: an unordered_map
+// into an intrusive recency list, true least-recently-used eviction (get()
+// promotes, put() evicts the coldest entry once `capacity` is reached), and
+// an eviction counter the owners surface in their stats. Not thread-safe by
+// design: the owner already holds a mutex around every call, and keeping
+// the lock out of here keeps the policy testable in isolation.
 #pragma once
 
 #include <cstdint>

@@ -24,8 +24,9 @@
 // graph is not bipartite" instead of aborting the process.
 //
 // Every entry point has a sibling overload taking a precomputed
-// `InstanceProfile` — the hot batch/serve paths feed profiles from
-// engine/profile_cache.hpp so an instance seen before is never re-probed.
+// `InstanceProfile` — the hot batch/serve paths feed profiles from the
+// warm state's profile cache (engine/store/warm_state.hpp) so an instance
+// seen before is never re-probed.
 // The profile MUST describe `inst` (i.e. come from `probe(inst)` or the
 // cache); the three-argument overloads probe internally.
 #pragma once

@@ -42,11 +42,21 @@ bool is_reserved_id(const std::string& id) {
   });
 }
 
-double hit_rate(std::uint64_t memory_hits, std::uint64_t disk_hits,
-                std::uint64_t misses) {
-  const std::uint64_t total = memory_hits + disk_hits + misses;
-  if (total == 0) return 0;
-  return static_cast<double>(memory_hits + disk_hits) / static_cast<double>(total);
+// One cache's fields of the stats frame, each named `<name>_<field>`.
+void write_cache_stats(std::ostream& out, const char* name, const CacheStats& s) {
+  const auto field = [&](const char* suffix) -> std::ostream& {
+    return out << ", \"" << name << suffix << "\": ";
+  };
+  field("_entries") << s.entries;
+  field("_disk_entries") << s.disk_entries;
+  field("_hits_memory") << s.hits;
+  field("_hits_disk") << s.disk_hits;
+  field("_misses") << s.misses;
+  field("_evictions") << s.evictions;
+  const std::uint64_t lookups = s.hits + s.disk_hits + s.misses;
+  field("_hit_rate") << fmt_double_exact(
+      lookups == 0 ? 0
+                   : static_cast<double>(s.hits + s.disk_hits) / static_cast<double>(lookups));
 }
 
 }  // namespace
@@ -203,8 +213,6 @@ std::string Server::stats_frame_json(const std::string& id, std::int64_t seq,
     std::lock_guard<std::mutex> lock(mu_);
     inflight = inflight_;
   }
-  const auto profile = warm_->profiles().stats();
-  const auto result = warm_->results().stats();
   std::ostringstream out;
   out << "{\"v\": " << kApiVersion << ", \"id\": " << json_quote(id)
       << ", \"seq\": " << seq << ", \"type\": \"stats\""
@@ -223,24 +231,10 @@ std::string Server::stats_frame_json(const std::string& id, std::int64_t seq,
       << ", \"session_inflight\": " << session_inflight
       << ", \"uptime_s\": " << fmt_double_exact(uptime_seconds())
       << ", \"store\": " << json_quote(warm_->store_dir())
-      << ", \"simd\": " << json_quote(to_string(simd_level()))
-      << ", \"profile_entries\": " << profile.entries
-      << ", \"profile_disk_entries\": " << profile.disk_entries
-      << ", \"profile_hits_memory\": " << profile.hits
-      << ", \"profile_hits_disk\": " << profile.disk_hits
-      << ", \"profile_misses\": " << profile.misses
-      << ", \"profile_evictions\": " << profile.evictions
-      << ", \"profile_hit_rate\": "
-      << fmt_double_exact(hit_rate(profile.hits, profile.disk_hits, profile.misses))
-      << ", \"result_entries\": " << result.entries
-      << ", \"result_disk_entries\": " << result.disk_entries
-      << ", \"result_hits_memory\": " << result.hits
-      << ", \"result_hits_disk\": " << result.disk_hits
-      << ", \"result_misses\": " << result.misses
-      << ", \"result_evictions\": " << result.evictions
-      << ", \"result_hit_rate\": "
-      << fmt_double_exact(hit_rate(result.hits, result.disk_hits, result.misses))
-      << "}\n";
+      << ", \"simd\": " << json_quote(to_string(simd_level()));
+  write_cache_stats(out, "profile", warm_->profiles().stats());
+  write_cache_stats(out, "result", warm_->results().stats());
+  out << "}\n";
   return out.str();
 }
 

@@ -160,8 +160,8 @@ struct ServeStats {
   std::uint64_t ok = 0;
   std::uint64_t errors = 0;  // bad frames + failed solves
   std::uint64_t sessions = 0;
-  ProfileCache::Stats cache;
-  ResultCache::Stats results;
+  CacheStats cache;
+  CacheStats results;
 };
 
 // The resident core: the event loop's dispatcher for serve. Solve frames go

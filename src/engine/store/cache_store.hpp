@@ -20,9 +20,9 @@
 // and appending resumes there; everything before the tear is served.
 //
 // Tiering and thread safety: a DiskTier is the level-2 map BEHIND an
-// in-memory LruMap tier (engine/profile_cache.hpp, engine/result_cache.hpp
-// own the pairing). It is deliberately NOT thread-safe — the owning cache
-// already serializes every call under its mutex, exactly like LruMap.
+// in-memory LruMap tier (engine/tiered_cache.hpp owns the pairing). It is
+// deliberately NOT thread-safe — the owning cache already serializes every
+// call under its mutex, exactly like LruMap.
 // Entries live in memory as encoded blobs (the decode cost is paid only on
 // a disk-tier hit, once, after which the value sits in the memory tier).
 //

@@ -171,8 +171,9 @@ std::string encode_result_key(const ResultKey& key);
 std::string encode_profile(const InstanceProfile& profile);
 bool decode_profile(std::string_view bytes, InstanceProfile* out);
 
-// Only ok results are ever stored (see result_cache.hpp policy), but the
-// codec round-trips the full struct regardless.
+// Only ok results are ever stored (ResultCache::store in
+// engine/store/warm_state.hpp), but the codec round-trips the full struct
+// regardless.
 std::string encode_result(const SolveResult& result);
 bool decode_result(std::string_view bytes, SolveResult* out);
 

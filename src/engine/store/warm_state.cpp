@@ -1,7 +1,6 @@
 #include "engine/store/warm_state.hpp"
 
 #include "engine/store/bench_history.hpp"
-#include "engine/store/codec.hpp"
 
 namespace bisched::engine {
 
@@ -53,25 +52,20 @@ WarmState::WarmState(const WarmOptions& options, std::string* message) {
 
 namespace {
 
-template <typename Stats>
-telemetry::CacheStatsView stats_view(const Stats& stats) {
-  telemetry::CacheStatsView view;
-  view.hits_memory = stats.hits;
-  view.hits_disk = stats.disk_hits;
-  view.misses = stats.misses;
-  view.evictions = stats.evictions;
-  view.entries_memory = stats.entries;
-  view.entries_disk = stats.disk_entries;
-  return view;
+void mirror_cache(telemetry::EngineMetrics::CacheSeries& series, const CacheStats& stats) {
+  series.hits_memory.mirror(stats.hits);
+  series.hits_disk.mirror(stats.disk_hits);
+  series.misses.mirror(stats.misses);
+  series.evictions.mirror(stats.evictions);
+  series.entries_memory.set(static_cast<double>(stats.entries));
+  series.entries_disk.set(static_cast<double>(stats.disk_entries));
 }
 
 }  // namespace
 
 void WarmState::mirror_metrics() {
-  telemetry::EngineMetrics::mirror_cache(telemetry_->profile_cache(),
-                                         stats_view(profiles_->stats()));
-  telemetry::EngineMetrics::mirror_cache(telemetry_->result_cache(),
-                                         stats_view(results_->stats()));
+  mirror_cache(telemetry_->profile_cache(), profiles_->stats());
+  mirror_cache(telemetry_->result_cache(), results_->stats());
   const FingerprintIndex::Stats fingerprints = fingerprints_->stats();
   telemetry_->fingerprint_hits().mirror(fingerprints.hits);
   telemetry_->fingerprint_misses().mirror(fingerprints.misses);

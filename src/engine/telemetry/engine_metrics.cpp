@@ -57,13 +57,4 @@ EngineMetrics::EngineMetrics()
   simd_level_.set(1);
 }
 
-void EngineMetrics::mirror_cache(CacheSeries& series, const CacheStatsView& view) {
-  series.hits_memory.mirror(view.hits_memory);
-  series.hits_disk.mirror(view.hits_disk);
-  series.misses.mirror(view.misses);
-  series.evictions.mirror(view.evictions);
-  series.entries_memory.set(static_cast<double>(view.entries_memory));
-  series.entries_disk.set(static_cast<double>(view.entries_disk));
-}
-
 }  // namespace bisched::engine::telemetry

@@ -11,27 +11,14 @@
 // labels) is documented in docs/telemetry.md and pinned by the exposition
 // golden in tests/engine/golden/metric_names.txt.
 //
-// The cache layers keep their own Stats structs (pre-telemetry sources of
-// truth, already surfaced on the stats frame); mirror_cache() ratchets those
-// totals into the registry at scrape time — CacheStatsView keeps this header
-// free of the cache headers.
+// The caches count in their own CacheStats (engine/tiered_cache.hpp);
+// WarmState::mirror_metrics ratchets those totals into the CacheSeries
+// below at scrape time.
 #pragma once
-
-#include <cstdint>
 
 #include "engine/telemetry/metrics.hpp"
 
 namespace bisched::engine::telemetry {
-
-// Structurally ProfileCache::Stats / ResultCache::Stats.
-struct CacheStatsView {
-  std::uint64_t hits_memory = 0;
-  std::uint64_t hits_disk = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t entries_memory = 0;
-  std::uint64_t entries_disk = 0;
-};
 
 class EngineMetrics {
  public:
@@ -59,7 +46,6 @@ class EngineMetrics {
 
   CacheSeries& profile_cache() { return profile_; }
   CacheSeries& result_cache() { return result_; }
-  static void mirror_cache(CacheSeries& series, const CacheStatsView& view);
   // bisched_cache_verify_failures_total: result-cache hits whose schedule
   // did not check out against the request's instance (an instance-hash
   // collision), solved afresh instead of served.

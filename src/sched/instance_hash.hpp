@@ -14,13 +14,13 @@
 // against the requesting instance (engine/api.cpp), and the portfolio
 // 2-colours the instance itself before any bipartite-only solver runs — but
 // fingerprint-index hits are not checked and the 128-bit key is still open.
-// The engine's profile cache
-// (engine/profile_cache.hpp) keys probe() results by it, and batch/serve
-// result rows surface it so repeated traffic is attributable downstream.
+// The engine's profile and result caches (engine/tiered_cache.hpp, held by
+// engine/store/warm_state.hpp) key by it, and batch/serve result rows
+// surface it so repeated traffic is attributable downstream.
 //
 // The function is part of the serving contract: changing it invalidates every
 // persisted key derived from it, so the golden value pinned in
-// tests/engine/profile_cache_test.cpp must only change intentionally.
+// tests/engine/instance_hash_test.cpp must only change intentionally.
 #pragma once
 
 #include <cstdint>

@@ -218,15 +218,16 @@ void checkpoint_warm(engine::WarmState& warm) {
 }
 
 // One stderr vocabulary for both caches' counters across batch and serve.
-void print_cache_stats(const engine::ProfileCache::Stats& probe,
-                       const engine::ResultCache::Stats& result) {
-  std::cerr << "probe cache " << probe.hits << " hits / " << probe.disk_hits
-            << " disk hits / " << probe.misses << " misses / " << probe.evictions
-            << " evictions (" << probe.entries << " entries, " << probe.disk_entries
-            << " on disk), result cache " << result.hits << " hits / "
-            << result.disk_hits << " disk hits / " << result.misses << " misses / "
-            << result.evictions << " evictions (" << result.entries << " entries, "
-            << result.disk_entries << " on disk)";
+void print_cache_stats(const char* name, const engine::CacheStats& s) {
+  std::cerr << name << " cache " << s.hits << " hits / " << s.disk_hits << " disk hits / "
+            << s.misses << " misses / " << s.evictions << " evictions (" << s.entries
+            << " entries, " << s.disk_entries << " on disk)";
+}
+
+void print_cache_stats(const engine::CacheStats& profile, const engine::CacheStats& result) {
+  print_cache_stats("probe", profile);
+  std::cerr << ", ";
+  print_cache_stats("result", result);
 }
 
 // --------------------------------------------------------------------- io ---
