@@ -153,12 +153,12 @@ std::vector<BatchRow> BatchRunner::run(const std::vector<std::string>& paths) co
 }
 
 void write_rows_csv(std::ostream& out, std::span<const BatchRow> rows) {
-  write_row_header_csv(out);
-  for (const BatchRow& row : rows) write_row_csv(out, row);
+  write_response_header_csv(out);
+  for (const BatchRow& row : rows) write_response_csv(out, row);
 }
 
 void write_rows_json(std::ostream& out, std::span<const BatchRow> rows) {
-  for (const BatchRow& row : rows) write_row_json(out, row);
+  for (const BatchRow& row : rows) write_response_json(out, row);
 }
 
 }  // namespace bisched::engine

@@ -99,16 +99,6 @@ std::size_t exclude_output_path(std::vector<std::string>& paths,
 // read last run's results as a (failing) instance.
 bool path_inside_directory(const std::string& path, const std::string& dir);
 
-// Solves one already-parsed instance into a row through the warm state +
-// the portfolio — api::run_parsed under its historical batch-side name.
-// `seq`, `file`, and parse errors are the caller's to fill in. Thread-safe
-// for concurrent calls sharing `warm`.
-inline BatchRow solve_to_row(const SolverRegistry& registry, WarmState& warm,
-                             const std::string& alg, const SolveOptions& solve,
-                             const ParsedInstance& parsed) {
-  return run_parsed(registry, warm, alg, solve, parsed);
-}
-
 class BatchRunner {
  public:
   // `warm` may be shared with other runners / the serve loop (and may carry
@@ -138,20 +128,6 @@ class BatchRunner {
   WarmState* warm_;  // points at owned_warm_ or a shared one
   std::unique_ptr<WarmState> owned_warm_;
 };
-
-// Streaming row serialization — thin historical names over the api codec
-// (engine/api.hpp), which owns the field list in both formats. CSV needs the
-// header exactly once, then one line per row; JSON output is JSON Lines (one
-// object per line), so rows concatenate without array framing.
-inline void write_row_header_csv(std::ostream& out) { write_response_header_csv(out); }
-inline void write_row_csv(std::ostream& out, const BatchRow& row) {
-  write_response_csv(out, row);
-}
-// Rows carry their own (possibly empty) id; serve stamps it on the response
-// before encoding, batch rows leave it empty and the member is omitted.
-inline void write_row_json(std::ostream& out, const BatchRow& row) {
-  write_response_json(out, row);
-}
 
 // Whole-slice convenience used by tests and collect-style callers.
 void write_rows_csv(std::ostream& out, std::span<const BatchRow> rows);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/siphash.hpp"
+
 namespace bisched::engine::fleet {
 namespace {
 
@@ -15,6 +17,11 @@ std::uint64_t mix(std::uint64_t x) {
 }
 
 }  // namespace
+
+std::uint64_t placement_key(std::string_view bytes) {
+  static constexpr SipKey kPlacementKey{0x6269736368656421ULL, 0x706c6163656d656eULL};
+  return siphash24_64(kPlacementKey, bytes);
+}
 
 HashRing::HashRing(std::size_t backends) : backends_(backends) {
   points_.reserve(backends * static_cast<std::size_t>(kVirtualNodes));

@@ -1,10 +1,13 @@
 // Consistent-hash ring over fleet backends.
 //
-// The router keys every solve on the instance content hash
-// (sched/instance_hash.hpp) so repeated traffic for one instance lands on
-// one backend — that backend's probe/result caches and disk tier stay hot
-// for its slice, which is the whole point of fanning out instead of
-// round-robining. A classic fixed-point ring with virtual nodes keeps the
+// The router keys every solve on placement_key() of the bytes it forwards
+// (the inline instance text, or the path string of a `solve PATH` frame), so
+// byte-identical repeat traffic lands on one backend — that backend's
+// probe/result caches and disk tier stay hot for its slice, which is the
+// whole point of fanning out instead of round-robining. The key is not
+// semantic: two renderings of one instance, or two spellings of one path,
+// may land on different backends (the backends' fingerprint index makes the
+// same trade). A classic fixed-point ring with virtual nodes keeps the
 // slices balanced and keeps reassignment minimal if the fleet is ever
 // resized: each backend owns `kVirtualNodes` points at
 // mix(backend, replica), and a key maps to the first point clockwise.
@@ -19,9 +22,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 namespace bisched::engine::fleet {
+
+// The ring key of one routed request's forwarded bytes: SipHash-2-4 under a
+// fixed key, not one drawn per process — every router over a fleet must
+// place a body identically, and each backend's --store slice follows the
+// placement, so changing this function re-homes every stored result.
+std::uint64_t placement_key(std::string_view bytes);
 
 class HashRing {
  public:

@@ -12,14 +12,12 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "engine/serve.hpp"
 #include "io/format.hpp"
 #include "io/jsonl.hpp"
-#include "sched/instance_hash.hpp"
 #include "util/table.hpp"
 
 namespace bisched::engine::fleet {
@@ -40,29 +38,6 @@ constexpr std::chrono::milliseconds kProbeBudget(1000);
 // Persistent solve links per backend. Each is one backend session; two keep
 // one slow solve from holding up every answer queued behind it.
 constexpr std::size_t kLinksPerBackend = 2;
-
-// FNV-1a over the raw source string — the routing key of last resort for
-// requests whose instance cannot be parsed (the backend owns producing the
-// canonical error; the router only needs *a* deterministic placement).
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-bool key_from_parsed(const ParsedInstance& parsed, std::uint64_t* key) {
-  if (!parsed.ok()) return false;
-  *key = parsed.uniform.has_value() ? instance_hash(*parsed.uniform)
-                                    : instance_hash(*parsed.unrelated);
-  return true;
-}
-
-bool key_from_text(const std::string& text, std::uint64_t* key) {
-  return key_from_parsed(parse_instance(text), key);
-}
 
 // Splices the router's admission seq over the backend's in a finished
 // response line. The literal `"seq": ` cannot occur inside a JSON string
@@ -314,11 +289,13 @@ void Router::execute(Request request, Reply reply) {
     return;
   }
 
-  // Derive the routing key and the wire form together. A `parsed` source has
-  // no wire form, so it is re-serialized as inline text; file paths are
-  // forwarded as paths (the backend reads the file and owns the canonical
-  // open/parse error texts), with the router parsing only to key placement.
-  std::uint64_t key = 0;
+  // Placement depends only on the bytes forwarded: the inline text, or the
+  // path string of a `solve PATH` frame. The router opens no file and
+  // parses no text (the backend owns the IO, the parse and their error
+  // texts), so no blocking read can stall the loop that serves every
+  // session. A native `instance` body arrives parsed by the loop and has no
+  // wire form of its own: it is re-serialized once as inline text and keyed
+  // on that text, so it shares a home with the same text sent inline.
   if (wire.parsed != nullptr) {
     const std::shared_ptr<const ParsedInstance> parsed = std::move(wire.parsed);
     if (!parsed->ok()) {
@@ -326,7 +303,6 @@ void Router::execute(Request request, Reply reply) {
       finish(rid, local_error(rt.id, rt.path, rt.seq, "parse error: " + parsed->error));
       return;
     }
-    key_from_parsed(*parsed, &key);
     std::ostringstream text;
     if (parsed->uniform.has_value()) {
       write_instance(text, *parsed->uniform);
@@ -335,21 +311,12 @@ void Router::execute(Request request, Reply reply) {
     }
     wire.inline_text = text.str();
     wire.has_inline_text = true;
-  } else if (wire.has_inline_text) {
-    if (!key_from_text(wire.inline_text, &key)) key = fnv1a(wire.inline_text);
-  } else if (!wire.path.empty()) {
-    bool keyed = false;
-    std::ifstream file(wire.path);
-    if (file) {
-      const ParsedInstance parsed = parse_instance(file);
-      keyed = key_from_parsed(parsed, &key);
-    }
-    if (!keyed) key = fnv1a(wire.path);
-  } else {
+  } else if (!wire.has_inline_text && wire.path.empty()) {
     requests_error_->inc();
     finish(rid, local_error(rt.id, rt.path, rt.seq, "no instance source in request"));
     return;
   }
+  const std::uint64_t key = placement_key(wire.has_inline_text ? wire.inline_text : wire.path);
   rt.frame_line = encode_request_json(wire) + "\n";
   rt.home = ring_->owner(key);
   rt.order = ring_->candidates(key);

@@ -5,14 +5,14 @@
 // cannot tell a router from a single server; what changes is what stands
 // behind the socket:
 //
-//   placement   every solve is keyed by the instance content hash and routed
-//               over a consistent-hash ring (hash_ring.hpp), so one
-//               instance's repeat traffic always lands on the same backend
-//               and that backend's memory/disk warmth stays hot for its
-//               slice. Requests the router cannot key (unreadable file,
-//               unparseable text) hash their source string instead — still
-//               deterministic, and the backend owns producing the canonical
-//               error.
+//   placement   every solve is keyed by placement_key() of the bytes the
+//               router forwards — the inline instance text, or the path
+//               string of a `solve PATH` frame — and routed over a
+//               consistent-hash ring (hash_ring.hpp), so byte-identical
+//               repeat traffic always lands on the same backend and that
+//               backend's memory/disk warmth stays hot for its slice. The
+//               router opens no file and parses no instance text: the
+//               backend does both and owns the canonical error texts.
 //   links       the router is the serve EventLoop's second dispatcher
 //               (engine/serve/event_loop.hpp): client sessions and backend
 //               links share one loop thread. Each backend gets up to two

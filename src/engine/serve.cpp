@@ -454,13 +454,4 @@ ServeStats serve_unix(const SolverRegistry& registry, const std::string& socket_
   return serve_listener(registry, *listener, options, error, warm);
 }
 
-ServeStats serve_tcp(const SolverRegistry& registry, const std::string& host, int port,
-                     bool allow_remote, const ServeOptions& options, std::string* error,
-                     WarmState* warm, int* bound_port) {
-  auto listener = TcpListener::open(host, port, allow_remote, error);
-  if (listener == nullptr) return {};
-  if (bound_port != nullptr) *bound_port = listener->port();
-  return serve_listener(registry, *listener, options, error, warm);
-}
-
 }  // namespace bisched::engine

@@ -20,9 +20,6 @@
 //                        Periodically flushes the warm state's journals, so
 //                        a crash loses at most the last interval.
 //   serve_unix(...)      serve_listener over a unix-domain socket.
-//   serve_tcp(...)       serve_listener over an AF_INET/AF_INET6 socket
-//                        (loopback-only unless allow_remote; remote binds
-//                        require an auth token — see ServeOptions).
 //
 // Request framing (one frame per line unless noted; blank lines and `#`
 // comments are skipped):
@@ -298,13 +295,5 @@ ServeStats serve_listener(const SolverRegistry& registry, Listener& listener,
 ServeStats serve_unix(const SolverRegistry& registry, const std::string& socket_path,
                       const ServeOptions& options, std::string* error,
                       WarmState* warm = nullptr);
-
-// serve_listener over a TCP socket. `host` as in TcpListener::open —
-// non-loopback binds are refused unless allow_remote. `*bound_port` (if
-// non-null) receives the actual port before serving starts (useful with
-// port 0).
-ServeStats serve_tcp(const SolverRegistry& registry, const std::string& host, int port,
-                     bool allow_remote, const ServeOptions& options, std::string* error,
-                     WarmState* warm = nullptr, int* bound_port = nullptr);
 
 }  // namespace bisched::engine

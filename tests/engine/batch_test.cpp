@@ -101,9 +101,9 @@ TEST_F(BatchTest, SerializedOutputIsByteIdenticalModuloRowOrderAcrossThreads) {
     BatchRunner(SolverRegistry::builtin(), options)
         .run_streaming(paths, [&lines](const BatchRow& row) {
           std::ostringstream one;
-          engine::write_row_csv(one, row);
+          engine::write_response_csv(one, row);
           std::ostringstream one_json;
-          engine::write_row_json(one_json, row);
+          engine::write_response_json(one_json, row);
           lines.push_back(one.str() + one_json.str());
         });
     std::sort(lines.begin(), lines.end());
@@ -388,14 +388,14 @@ TEST_F(BatchTest, WritersEscapeDelimitersConsistentlyAcrossFormats) {
   row.error = "line1\nline2 \"quoted\"";
 
   std::ostringstream csv;
-  engine::write_row_csv(csv, row);
+  engine::write_response_csv(csv, row);
   const std::string csv_text = csv.str();
   // RFC-4180: the field is quoted, embedded quotes doubled — a CSV reader
   // recovers the exact name.
   EXPECT_NE(csv_text.find("\"a,b\"\"c\nd\te\x01.inst\""), std::string::npos);
 
   std::ostringstream json;
-  engine::write_row_json(json, row);
+  engine::write_response_json(json, row);
   const std::string json_text = json.str();
   EXPECT_NE(json_text.find("a,b\\\"c\\nd\\te\\u0001.inst"), std::string::npos);
   EXPECT_NE(json_text.find("line1\\nline2 \\\"quoted\\\""), std::string::npos);
@@ -406,7 +406,7 @@ TEST_F(BatchTest, WritersEscapeDelimitersConsistentlyAcrossFormats) {
   // the same escaping.
   row.id = "req \"1\",\n2";
   std::ostringstream with_id;
-  engine::write_row_json(with_id, row);
+  engine::write_response_json(with_id, row);
   EXPECT_NE(with_id.str().find("\"id\": \"req \\\"1\\\",\\n2\""), std::string::npos);
 }
 

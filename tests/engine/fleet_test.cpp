@@ -11,9 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <poll.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -30,7 +34,6 @@
 #include "engine/fleet/router.hpp"
 #include "engine/transport.hpp"
 #include "io/format.hpp"
-#include "sched/instance_hash.hpp"
 #include "testing_util.hpp"
 #include "util/prng.hpp"
 
@@ -81,6 +84,13 @@ TEST(HashRing, SingleBackendOwnsEverything) {
     EXPECT_EQ(ring.owner(key), 0u);
     EXPECT_EQ(ring.candidates(key), std::vector<std::size_t>{0});
   }
+}
+
+TEST(HashRing, PlacementKeyIsPinned) {
+  // Each backend's --store slice follows placement, so a change to the key
+  // function re-homes every stored result: it must be deliberate.
+  EXPECT_EQ(engine::fleet::placement_key("corpus/q1.inst"), 0x9b99fa24143cc491ull);
+  EXPECT_EQ(HashRing(2).owner(engine::fleet::placement_key("corpus/q1.inst")), 0u);
 }
 
 // ---------------------------------------------------------------- health ---
@@ -283,34 +293,28 @@ long json_long(const std::string& text, const std::string& key) {
 }
 
 TEST(FleetCli, CrashMidBatchFailsOverInvisiblyAndMatchesSingleBackendRun) {
-  // Build a work set whose placement is known in advance: at least four
-  // instances homed on backend 0 (so the crash-after:2 fault actually
-  // trips mid-batch) and at least two on backend 1.
-  const HashRing ring(2);
-  Rng rng(77);
-  std::vector<UniformInstance> instances;
-  int homed0 = 0;
-  int homed1 = 0;
-  for (int guard = 0; (homed0 < 4 || homed1 < 2) && guard < 1000; ++guard) {
-    auto inst = testing::random_uniform_instance(4, 4, 2, 3, 3, rng);
-    const std::size_t owner = ring.owner(instance_hash(inst));
-    if (owner == 0 && homed0 >= 4) continue;
-    if (owner == 1 && homed1 >= 2) continue;
-    (owner == 0 ? homed0 : homed1)++;
-    instances.push_back(std::move(inst));
-  }
-  ASSERT_EQ(homed0, 4);
-  ASSERT_EQ(homed1, 2);
-
+  // Build a work set whose placement is known in advance: four files homed
+  // on backend 0 (so the crash-after:2 fault actually trips mid-batch) and
+  // two on backend 1. The router keys a `solve PATH` frame on the path
+  // string, so the file names are chosen by their predicted home.
   const auto dir = fs::temp_directory_path() / "bisched_fleet_accept";
   fs::remove_all(dir);
   fs::create_directories(dir);
+  const HashRing ring(2);
+  Rng rng(77);
   std::vector<std::string> paths;
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    paths.push_back((dir / ("i" + std::to_string(i) + ".inst")).string());
-    std::ofstream f(paths.back());
-    write_instance(f, instances[i]);
+  int homed[2] = {0, 0};
+  for (int name = 0; (homed[0] < 4 || homed[1] < 2) && name < 1000; ++name) {
+    const std::string path = (dir / ("i" + std::to_string(name) + ".inst")).string();
+    const std::size_t owner = ring.owner(engine::fleet::placement_key(path));
+    if (homed[owner] >= (owner == 0 ? 4 : 2)) continue;
+    homed[owner]++;
+    paths.push_back(path);
+    std::ofstream f(path);
+    write_instance(f, testing::random_uniform_instance(4, 4, 2, 3, 3, rng));
   }
+  ASSERT_EQ(homed[0], 4);
+  ASSERT_EQ(homed[1], 2);
 
   // Two passes over the set (the repeat pass is warm traffic), then the
   // router's own stats + metrics, then quit.
@@ -474,16 +478,23 @@ class LiveRouter {
   std::thread loop_;
 };
 
-std::string inline_frame(const std::string& id, const UniformInstance& inst) {
+std::string instance_text(const UniformInstance& inst) {
   std::ostringstream text;
   write_instance(text, inst);
+  return text.str();
+}
+
+std::string inline_frame(const std::string& id, const UniformInstance& inst) {
   std::string body;
-  for (const char c : text.str()) body += c == '\n' ? std::string("\\n") : std::string(1, c);
+  for (const char c : instance_text(inst)) {
+    body += c == '\n' ? std::string("\\n") : std::string(1, c);
+  }
   return "{\"id\": \"" + id + "\", \"instance\": \"" + body + "\"}\n";
 }
 
 // `count` distinct instances whose hash-ring home (over 2 backends) is
-// `home`, or any home when `home` < 0.
+// `home`, or any home when `home` < 0. An inline frame is keyed on its
+// decoded instance text, which is exactly write_instance's output.
 std::vector<UniformInstance> homed_instances(int count, int home, std::uint64_t seed) {
   const HashRing ring(2);
   Rng rng(seed);
@@ -491,9 +502,9 @@ std::vector<UniformInstance> homed_instances(int count, int home, std::uint64_t 
   std::set<std::uint64_t> seen;
   for (int guard = 0; static_cast<int>(out.size()) < count && guard < 100000; ++guard) {
     auto inst = testing::random_uniform_instance(4, 4, 2, 5, 3, rng);
-    const std::uint64_t hash = instance_hash(inst);
-    if (home >= 0 && ring.owner(hash) != static_cast<std::size_t>(home)) continue;
-    if (!seen.insert(hash).second) continue;
+    const std::uint64_t key = engine::fleet::placement_key(instance_text(inst));
+    if (home >= 0 && ring.owner(key) != static_cast<std::size_t>(home)) continue;
+    if (!seen.insert(key).second) continue;
     out.push_back(std::move(inst));
   }
   return out;
@@ -635,6 +646,72 @@ TEST(FleetLinks, RespawnedHomeServesItsSliceAgain) {
   EXPECT_EQ(sample(live.backend_metrics(0),
                    "bisched_serve_frames_total{type=\\\"solve\\\"}"),
             3);
+}
+
+// Reads from `fd` until it holds `lines` complete lines or `timeout_ms`
+// passed; every wait is a bounded poll(), so a stalled peer fails the
+// caller instead of hanging it.
+bool read_lines(int fd, std::string* out, std::size_t lines, int timeout_ms) {
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  while (static_cast<std::size_t>(std::count(out->begin(), out->end(), '\n')) < lines) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        give_up - std::chrono::steady_clock::now());
+    pollfd pfd{fd, POLLIN, 0};
+    if (left.count() < 0 || ::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) return false;
+    char buf[4096];
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n <= 0) return false;
+    out->append(buf, static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+TEST(FleetLinks, PendingFileReadStallsNoOtherSession) {
+  LiveRouter live(RouterOptions{}, nullptr, "bisched_fleet_fifo");
+  ASSERT_TRUE(live.ok()) << live.error();
+  const fs::path fifo = fs::temp_directory_path() / "bisched_fleet_fifo.inst";
+  fs::remove(fifo);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+
+  // A `solve PATH` on a FIFO with no writer: whoever opens it blocks until
+  // one appears. The trailing stats frame is answered inline once the router
+  // has taken the solve, so its answer proves the solve was admitted.
+  const int pending = live.connect();
+  ASSERT_GE(pending, 0);
+  ASSERT_TRUE(send_all(pending, "solve " + fifo.string() + " fifo\nstats s\n"));
+  std::string pending_out;
+  EXPECT_TRUE(read_lines(pending, &pending_out, 1, 5000)) << "the router stalled on the FIFO";
+  EXPECT_NE(pending_out.find("\"id\": \"s\""), std::string::npos) << pending_out;
+
+  // Another session's inline solve is answered while the FIFO solve waits.
+  const auto instances = homed_instances(1, -1, 53);
+  ASSERT_EQ(instances.size(), 1u);
+  const int other = live.connect();
+  ASSERT_GE(other, 0);
+  ASSERT_TRUE(send_all(other, inline_frame("other", instances[0])));
+  std::string other_out;
+  EXPECT_TRUE(read_lines(other, &other_out, 1, 5000)) << "an inline solve waited on a file read";
+  EXPECT_NE(other_out.find("\"status\": \"ok\""), std::string::npos) << other_out;
+  ::close(other);
+  EXPECT_EQ(std::count(pending_out.begin(), pending_out.end(), '\n'), 1) << pending_out;
+
+  // Release the FIFO solve: each reader that opens the FIFO gets one
+  // instance, until the answer arrives. That frees the backend worker
+  // before ~LiveRouter drains.
+  const std::string text = instance_text(instances[0]);
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!read_lines(pending, &pending_out, 2, 50) &&
+         std::chrono::steady_clock::now() < give_up) {
+    const int writer = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+    if (writer < 0) continue;  // ENXIO: no reader has it open right now
+    send_all(writer, text);
+    ::close(writer);
+  }
+  const auto answers = lines_by_id(pending_out);
+  ASSERT_EQ(answers.count("fifo"), 1u) << pending_out;
+  EXPECT_NE(answers.at("fifo").find("\"status\": \"ok\""), std::string::npos) << pending_out;
+  ::close(pending);
+  fs::remove(fifo);
 }
 
 #endif  // BISCHED_CLI_PATH

@@ -2,7 +2,7 @@
 // then a hit, no aliasing between instances, both models, clear, LRU
 // eviction with its counter, the result key covering alg / eps / options,
 // the contains() peek on a disk-only entry, the only-ok-results policy at
-// the request level, and the solve_to_row integration (the `solve_cache`
+// the request level, and the run_parsed integration (the `solve_cache`
 // row field).
 #include "engine/tiered_cache.hpp"
 
@@ -285,8 +285,8 @@ TEST(TieredCache, SolveToRowMemoizesRepeatedSolves) {
   engine::WarmState warm_state;
   const auto solve_once = [&] {
     std::istringstream in(text.str());
-    return engine::solve_to_row(engine::SolverRegistry::builtin(), warm_state, "auto",
-                                SolveOptions{}, parse_instance(in));
+    return engine::run_parsed(engine::SolverRegistry::builtin(), warm_state, "auto",
+                              SolveOptions{}, parse_instance(in));
   };
 
   const auto cold = solve_once();
@@ -307,8 +307,8 @@ TEST(TieredCache, SolveToRowMemoizesRepeatedSolves) {
   std::istringstream in(text.str());
   SolveOptions finer;
   finer.eps = 0.01;
-  const auto other = engine::solve_to_row(engine::SolverRegistry::builtin(), warm_state,
-                                          "auto", finer, parse_instance(in));
+  const auto other = engine::run_parsed(engine::SolverRegistry::builtin(), warm_state,
+                                        "auto", finer, parse_instance(in));
   ASSERT_TRUE(other.ok) << other.error;
   EXPECT_EQ(other.result_tier, CacheTier::kMiss);
 }

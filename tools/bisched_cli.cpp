@@ -422,7 +422,7 @@ int cmd_batch(int argc, char** argv) {
                                    warm.get());
   std::ostream& out = out_file.is_open() ? out_file : std::cout;
   const bool csv = format == "csv";
-  if (csv) engine::write_row_header_csv(out);
+  if (csv) engine::write_response_header_csv(out);
   std::size_t total = 0;
   std::size_t failures = 0;
   // Per-row flushing only matters when a pipe/stdout peer consumes rows
@@ -432,9 +432,9 @@ int cmd_batch(int argc, char** argv) {
     ++total;
     failures += row.ok ? 0 : 1;
     if (csv) {
-      engine::write_row_csv(out, row);
+      engine::write_response_csv(out, row);
     } else {
-      engine::write_row_json(out, row);
+      engine::write_response_json(out, row);
     }
     if (flush_rows) out.flush();
   });
@@ -601,7 +601,7 @@ int cmd_serve(int argc, char** argv) {
 // ------------------------------------------------------------------ route ---
 
 // Fleet front-end: spawn + supervise N local serve backends, route framed
-// requests over them by instance content hash with health-checked
+// requests over them by a hash of the forwarded bytes with health-checked
 // retry/failover (engine/fleet). Speaks the same frame grammar as serve, on
 // stdin or a loopback socket; remote exposure stays serve's business (the
 // router holds no auth).

@@ -313,17 +313,22 @@ grep -q 'allow-remote' "$SMOKE/tcp-refuse.log" || {
 # errors. --max-inflight=1 serializes admission so every retry has settled
 # before the trailing stats/metrics probes read the counters: the scrape
 # MUST show a nonzero bisched_fleet_retries_total — proof the failover
-# actually happened rather than the fault never firing.
+# actually happened rather than the fault never firing. The router keys
+# placement on the path string it forwards, so the frames name their files
+# relative to $SMOKE and the route runs there (the backends inherit its
+# working directory): the split is then the same on every run, 4 of the 5
+# frames homed on backend 0, where a mktemp path would place them at random.
+FLEET_CLI="$(pwd)/$CLI"
 {
   for i in 1 2 3 4 5; do
-    printf 'solve %s f%s\n' "$SMOKE/corpus/q$i.inst" "$i"
+    printf 'solve %s f%s\n' "corpus/q$i.inst" "$i"
   done
   printf 'stats fleet-stats\n'
   printf 'metrics fleet-metrics\n'
   printf 'quit\n'
-} | BISCHED_FAULT='backend=0;crash-after:1' \
-  "$CLI" route --fleet=2 --stable --max-inflight=1 \
-  --deadline-ms=60000 > "$SMOKE/route.out" 2> "$SMOKE/route.log" || {
+} | (cd "$SMOKE" && BISCHED_FAULT='backend=0;crash-after:1' \
+  "$FLEET_CLI" route --fleet=2 --stable --max-inflight=1 \
+  --deadline-ms=60000) > "$SMOKE/route.out" 2> "$SMOKE/route.log" || {
   echo "ci.sh: fleet smoke failed: route exited nonzero (client-visible errors)" >&2
   cat "$SMOKE/route.out" "$SMOKE/route.log" >&2
   exit 1
